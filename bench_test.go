@@ -29,6 +29,7 @@ import (
 	"safecross/internal/tensor"
 	"safecross/internal/video"
 	"safecross/internal/vision"
+	"safecross/internal/weather"
 )
 
 // BenchmarkTableI_DatasetGeneration times synthesis of the (scaled)
@@ -278,23 +279,75 @@ func BenchmarkThroughput_Classification(b *testing.B) {
 
 // BenchmarkFig3_VPPipeline times one frame through the VP pipeline
 // (background subtraction, opening, occupancy grid) — the per-frame
-// cost of the deployed system's pre-processing.
+// cost of the deployed system's pre-processing. "process" returns a
+// fresh grid, as dataset generation uses it; "framework-warm" is the
+// deployed path — scene detection, VP into the clip ring, the clip
+// fill and a free verdict — and fails if a warm frame touches the
+// heap.
 func BenchmarkFig3_VPPipeline(b *testing.B) {
 	world := sim.NewWorld(sim.Config{Weather: sim.Day, TruckPresent: true, Seed: 9})
-	vp := vision.NewPreprocessor(vision.DefaultVPConfig())
-	frames := world.RunFrames(8)
-	for _, f := range frames {
-		if _, err := vp.Process(f); err != nil {
+	frames := world.RunFrames(40)
+
+	b.Run("process", func(b *testing.B) {
+		vp := vision.NewPreprocessor(vision.DefaultVPConfig())
+		for _, f := range frames[:8] {
+			if _, err := vp.Process(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := vp.Process(frames[i%len(frames)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("framework-warm", func(b *testing.B) {
+		det, err := weather.FitFromSim(20, 12345)
+		if err != nil {
 			b.Fatal(err)
 		}
+		verdict := func(context.Context, sim.Weather, *tensor.Tensor, bool) (int, error) { return dataset.ClassSafe, nil }
+		fw, err := safecross.NewServed(safecross.Config{}, verdict, det)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		step := func(i int) {
+			if _, err := fw.ProcessFrameContext(ctx, frames[i%len(frames)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < sim.SegmentFrames; i++ {
+			step(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
+		}
+		b.StopTimer()
+		if allocs := testing.AllocsPerRun(sim.SegmentFrames, func() { step(0) }); allocs != 0 {
+			b.Fatalf("warm frame allocates %v times, want 0", allocs)
+		}
+	})
+}
+
+// BenchmarkSceneDetect times the per-frame weather scene detection
+// (feature extraction, nearest centroid, debounce) that precedes VP on
+// every frame.
+func BenchmarkSceneDetect(b *testing.B) {
+	det, err := weather.FitFromSim(20, 12345)
+	if err != nil {
+		b.Fatal(err)
 	}
-	frame := world.Render()
+	frames := sim.NewWorld(sim.Config{Weather: sim.Day, TruckPresent: true, Seed: 9}).RunFrames(40)
+	mon := weather.NewMonitor(det, sim.Day, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vp.Process(frame); err != nil {
-			b.Fatal(err)
-		}
+		mon.Observe(frames[i%len(frames)])
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 // machinery detects well: small movers inside the crosswalk band,
 // discriminated from vehicles by blob size.
 type PedestrianMonitor struct {
-	bg *vision.BackgroundModel
+	// vp is the VP module's subtraction and opening with the monitor's
+	// own background rate and threshold; no grid is taken from it.
+	vp *vision.Preprocessor
 
 	// zone is the crosswalk region monitored.
 	zone vision.Rect
-	// threshold binarises the foreground difference.
-	threshold float64
 	// maxArea separates pedestrian-sized blobs from vehicles.
 	maxArea int
 	// minArea rejects single-pixel noise.
@@ -37,11 +37,10 @@ type PedestrianAlert struct {
 // crosswalk geometry.
 func NewPedestrianMonitor() *PedestrianMonitor {
 	return &PedestrianMonitor{
-		bg:        vision.NewBackgroundModel(0.04),
-		zone:      sim.CrosswalkZone(),
-		threshold: 0.12,
-		minArea:   2,
-		maxArea:   18, // vehicles are ≥ 9×7 px; pedestrians ≤ 2×3 (+dilation)
+		vp:      vision.NewPreprocessor(vision.VPConfig{Alpha: 0.04, Threshold: 0.12, OpenRadius: 1}),
+		zone:    sim.CrosswalkZone(),
+		minArea: 2,
+		maxArea: 18, // vehicles are ≥ 9×7 px; pedestrians ≤ 2×3 (+dilation)
 	}
 }
 
@@ -51,13 +50,12 @@ func (m *PedestrianMonitor) Zone() vision.Rect { return m.zone }
 // Observe ingests one camera frame and reports pedestrian activity in
 // the crosswalk.
 func (m *PedestrianMonitor) Observe(frame *vision.Image) (PedestrianAlert, error) {
-	mask, err := m.bg.Foreground(frame, m.threshold)
+	blobs, err := m.vp.ProcessBlobs(frame, m.minArea)
 	if err != nil {
 		return PedestrianAlert{}, fmt.Errorf("safecross: pedestrian monitor: %w", err)
 	}
-	mask = vision.Open(mask, 1)
 	var alert PedestrianAlert
-	for _, b := range vision.ConnectedComponents(mask, m.minArea) {
+	for _, b := range blobs {
 		if b.Area > m.maxArea {
 			continue // vehicle-sized: the clip classifier's job
 		}

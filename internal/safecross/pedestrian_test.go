@@ -82,3 +82,23 @@ func TestPedestrianMonitorQuietOnEmptyScene(t *testing.T) {
 		t.Fatal("monitored zone must not be empty")
 	}
 }
+
+func TestPedestrianMonitorWarmObserveAllocatesNothing(t *testing.T) {
+	mon := NewPedestrianMonitor()
+	world := sim.NewWorld(sim.Config{Weather: sim.Day, Seed: 27})
+	world.SpawnPedestrian(true)
+	frames := world.RunFrames(30)
+	n := 0
+	observe := func() {
+		if _, err := mon.Observe(frames[n%len(frames)]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for range frames {
+		observe()
+	}
+	if allocs := testing.AllocsPerRun(30, observe); allocs != 0 {
+		t.Fatalf("warm Observe allocates %v times a frame, want 0", allocs)
+	}
+}

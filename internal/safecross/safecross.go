@@ -104,6 +104,9 @@ func (c Config) Validate() error {
 	if c.Debounce < 0 {
 		return fmt.Errorf("safecross: negative debounce %d", c.Debounce)
 	}
+	if c.VP.GridW < 1 || c.VP.GridH < 1 {
+		return fmt.Errorf("safecross: occupancy grid %dx%d, need at least 1x1", c.VP.GridW, c.VP.GridH)
+	}
 	return nil
 }
 
@@ -116,6 +119,12 @@ func (c Config) Validate() error {
 // critical reports the framework's fail-safe hint: true while the
 // intersection has not yet re-established its safe streak, so the
 // service should treat the clip as priority traffic.
+//
+// The clip is the framework's own buffer, refilled on the next frame:
+// it is valid only until the call returns (the io.Reader buffer rule).
+// A service that needs it longer — to compute after returning an
+// error, say — must copy it. internal/serve complies: Submit returns
+// only with the verdict, or once the request can never be dispatched.
 type ClassifyFunc func(ctx context.Context, scene sim.Weather, clip *tensor.Tensor, critical bool) (int, error)
 
 // Framework is the SafeCross runtime.
@@ -129,7 +138,17 @@ type Framework struct {
 	mgr      *pipeswitch.Manager
 	classify ClassifyFunc
 
+	// ring holds the last ClipLen occupancy grids in slots allocated
+	// once and overwritten round-robin: with seen grids written since
+	// the last Reset, the next lands in slot seen % ClipLen, which is
+	// also the oldest grid once the ring is full. The slots are windows
+	// into store, so stacking the ring in time order is two copies into
+	// clip, the persistent [1,T,H,W] tensor every ready frame's
+	// classification reads.
 	ring       []*vision.Image
+	store      []float64
+	seen       int
+	clip       *tensor.Tensor
 	safeStreak int
 	// ws is the framework's persistent inference scratch (guarded by
 	// mu like the rest of the per-frame state): local classification
@@ -186,14 +205,8 @@ func New(cfg Config, models map[sim.Weather]video.Classifier, det *weather.Detec
 	if _, ok := models[cfg.InitialScene]; !ok {
 		return nil, fmt.Errorf("safecross: no classifier for initial scene %v", cfg.InitialScene)
 	}
-	f := &Framework{
-		cfg:     cfg,
-		vp:      vision.NewPreprocessor(cfg.VP),
-		monitor: weather.NewMonitor(det, cfg.InitialScene, cfg.Debounce),
-		models:  models,
-		mgr:     mgr,
-		metrics: newFrameMetrics(cfg.Metrics),
-	}
+	f := newFramework(cfg, det)
+	f.models, f.mgr = models, mgr
 	if _, err := mgr.Activate(cfg.InitialScene.String()); err != nil {
 		return nil, fmt.Errorf("safecross: activate initial scene: %w", err)
 	}
@@ -245,13 +258,29 @@ func NewServed(cfg Config, classify ClassifyFunc, det *weather.Detector) (*Frame
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Framework{
-		cfg:      cfg,
-		vp:       vision.NewPreprocessor(cfg.VP),
-		monitor:  weather.NewMonitor(det, cfg.InitialScene, cfg.Debounce),
-		classify: classify,
-		metrics:  newFrameMetrics(cfg.Metrics),
-	}, nil
+	f := newFramework(cfg, det)
+	f.classify = classify
+	return f, nil
+}
+
+// newFramework builds the camera-local half both constructors share,
+// with all per-frame memory — ring slots and clip tensor — allocated
+// here, once.
+func newFramework(cfg Config, det *weather.Detector) *Framework {
+	cells := cfg.VP.GridW * cfg.VP.GridH
+	f := &Framework{
+		cfg:     cfg,
+		vp:      vision.NewPreprocessor(cfg.VP),
+		monitor: weather.NewMonitor(det, cfg.InitialScene, cfg.Debounce),
+		ring:    make([]*vision.Image, cfg.ClipLen),
+		store:   make([]float64, cfg.ClipLen*cells),
+		clip:    tensor.New(1, cfg.ClipLen, cfg.VP.GridH, cfg.VP.GridW),
+		metrics: newFrameMetrics(cfg.Metrics),
+	}
+	for i := range f.ring {
+		f.ring[i] = &vision.Image{W: cfg.VP.GridW, H: cfg.VP.GridH, Pix: f.store[i*cells : (i+1)*cells : (i+1)*cells]}
+	}
+	return f
 }
 
 // Scene returns the currently settled weather scene.
@@ -269,7 +298,7 @@ func (f *Framework) Manager() *pipeswitch.Manager { return f.mgr }
 // ProcessFrame ingests one camera frame with a background context; see
 // ProcessFrameContext.
 func (f *Framework) ProcessFrame(frame *vision.Image) (*Decision, error) {
-	return f.ProcessFrameContext(context.Background(), frame)
+	return f.processFrame(context.Background(), frame, &Decision{})
 }
 
 // ProcessFrameContext ingests one camera frame: scene detection
@@ -281,11 +310,21 @@ func (f *Framework) ProcessFrame(frame *vision.Image) (*Decision, error) {
 // is critical while the intersection has not re-established its safe
 // streak, i.e. whenever the current advisory is (or is about to be)
 // "don't turn".
+//
+// It is a shell small enough to inline, so the Decision is the
+// caller's to place: a caller that does not retain it pays no
+// allocation for it. That rests on the compiler's inlining budget;
+// TestWarmFrameAllocatesNothing (ring_test.go) is the guard, and fails
+// if anything added here pushes the Decision back onto the heap.
 func (f *Framework) ProcessFrameContext(ctx context.Context, frame *vision.Image) (*Decision, error) {
+	return f.processFrame(ctx, frame, &Decision{})
+}
+
+// processFrame fills in and returns d, or nil with the error.
+func (f *Framework) processFrame(ctx context.Context, frame *vision.Image, d *Decision) (*Decision, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
-	d := &Decision{}
 	f.metrics.frames.Inc()
 	frameStart := time.Now()
 	detectStart := frameStart
@@ -307,38 +346,38 @@ func (f *Framework) ProcessFrameContext(ctx context.Context, frame *vision.Image
 	}
 
 	vpStart := time.Now()
-	grid, err := f.vp.Process(frame)
-	if err != nil {
+	// A rejected frame (wrong size) leaves the slot, and so the ring,
+	// as it was.
+	if err := f.vp.ProcessInto(frame, f.ring[f.seen%len(f.ring)]); err != nil {
 		return nil, fmt.Errorf("safecross: %w", err)
 	}
 	f.metrics.vp.ObserveDuration(time.Since(vpStart))
-	f.ring = append(f.ring, grid)
-	if len(f.ring) > f.cfg.ClipLen {
-		f.ring = f.ring[1:]
-	}
-	if len(f.ring) < f.cfg.ClipLen {
+	f.seen++
+	if f.seen < len(f.ring) {
 		return d, nil
 	}
 
-	clip, err := vision.ClipTensor(f.ring)
-	if err != nil {
-		return nil, fmt.Errorf("safecross: %w", err)
-	}
+	// The ring is full, so the next slot holds the oldest grid: time
+	// order is the store from there to its end, then from its start.
+	oldest := f.seen % len(f.ring) * len(f.ring[0].Pix)
+	n := copy(f.clip.Data, f.store[oldest:])
+	copy(f.clip.Data[n:], f.store[:oldest])
 	var label int
+	var err error
 	classifyStart := time.Now()
 	if f.classify != nil {
 		// The fail-safe hint: until the safe streak is re-established,
 		// the intersection is advising "don't turn" and the next verdict
 		// decides whether it may release — priority traffic.
 		critical := f.safeStreak < f.cfg.SafeStreak
-		if label, err = f.classify(ctx, scene, clip, critical); err != nil {
+		if label, err = f.classify(ctx, scene, f.clip, critical); err != nil {
 			return nil, fmt.Errorf("safecross: classify: %w", err)
 		}
 	} else {
 		if f.ws == nil {
 			f.ws = nn.NewWorkspace()
 		}
-		if label, err = video.PredictWS(f.models[scene], clip, f.ws); err != nil {
+		if label, err = video.PredictWS(f.models[scene], f.clip, f.ws); err != nil {
 			return nil, fmt.Errorf("safecross: classify: %w", err)
 		}
 	}
@@ -359,12 +398,13 @@ func (f *Framework) ProcessFrameContext(ctx context.Context, frame *vision.Image
 	return d, nil
 }
 
-// Reset clears the clip ring and the VP background, as after a camera
-// feed interruption.
+// Reset empties the clip ring, drops the safe streak and re-primes
+// the VP background on the next frame, as after a camera feed
+// interruption. All buffers are kept.
 func (f *Framework) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.ring = nil
+	f.seen = 0
 	f.safeStreak = 0
 	f.vp.Reset()
 }

@@ -1,6 +1,9 @@
 package vision
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // BackgroundModel maintains a dynamic per-pixel background estimate
 // with exponential forgetting, the "constantly updated background"
@@ -35,16 +38,37 @@ func (m *BackgroundModel) Background() *Image {
 // Primed reports whether the model has observed at least one frame.
 func (m *BackgroundModel) Primed() bool { return m.primed }
 
-// Update folds a new frame into the background estimate.
-func (m *BackgroundModel) Update(frame *Image) error {
-	if !m.primed {
-		m.bg = frame.Clone()
-		m.primed = true
-		return nil
+// Reset forgets the estimate so the next frame re-primes the model.
+// The buffer is kept and reused when that frame has the same size.
+func (m *BackgroundModel) Reset() { m.primed = false }
+
+// prime adopts frame as the background estimate.
+func (m *BackgroundModel) prime(frame *Image) {
+	if m.bg == nil || len(m.bg.Pix) != len(frame.Pix) {
+		m.bg = NewImage(frame.W, frame.H)
 	}
+	m.bg.W, m.bg.H = frame.W, frame.H
+	copy(m.bg.Pix, frame.Pix)
+	m.primed = true
+}
+
+// match rejects a frame whose size differs from the primed background.
+func (m *BackgroundModel) match(frame *Image) error {
 	if frame.W != m.bg.W || frame.H != m.bg.H {
 		return fmt.Errorf("vision: frame %dx%d does not match background %dx%d",
 			frame.W, frame.H, m.bg.W, m.bg.H)
+	}
+	return nil
+}
+
+// Update folds a new frame into the background estimate.
+func (m *BackgroundModel) Update(frame *Image) error {
+	if !m.primed {
+		m.prime(frame)
+		return nil
+	}
+	if err := m.match(frame); err != nil {
+		return err
 	}
 	a := m.Alpha
 	for i, v := range frame.Pix {
@@ -64,23 +88,32 @@ func (m *BackgroundModel) Subtract(frame *Image) (*Image, error) {
 	return AbsDiff(frame, m.bg)
 }
 
-// Foreground runs the full subtraction step the paper describes:
-// difference against the dynamic background, threshold into a binary
-// mask, then fold the frame into the background.
-func (m *BackgroundModel) Foreground(frame *Image, threshold float64) (*Image, error) {
+// foreground is the fused subtraction step the paper describes, one
+// pass over the frame: dst (one byte per pixel) is set where the frame
+// differs from the background as it stood before this frame by at
+// least threshold, and the frame is folded into the background with
+// Update's expression. The frame that primes the model yields an empty
+// mask. A frame of the wrong size is rejected with nothing written.
+func (m *BackgroundModel) foreground(frame *Image, threshold float64, dst []uint8) error {
 	if !m.primed {
-		if err := m.Update(frame); err != nil {
-			return nil, err
+		m.prime(frame)
+		clear(dst)
+		return nil
+	}
+	if err := m.match(frame); err != nil {
+		return err
+	}
+	a := m.Alpha
+	bg := m.bg.Pix
+	pix, dst := frame.Pix[:len(bg)], dst[:len(bg)]
+	for i, b := range bg {
+		v := pix[i]
+		var on uint8
+		if math.Abs(v-b) >= threshold {
+			on = 1
 		}
-		return NewImage(frame.W, frame.H), nil
+		dst[i] = on
+		bg[i] = (1-a)*b + a*v
 	}
-	diff, err := m.Subtract(frame)
-	if err != nil {
-		return nil, err
-	}
-	mask := diff.Threshold(threshold)
-	if err := m.Update(frame); err != nil {
-		return nil, err
-	}
-	return mask, nil
+	return nil
 }

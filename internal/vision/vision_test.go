@@ -100,24 +100,22 @@ func TestBackgroundModelDetectsMover(t *testing.T) {
 	bg := NewBackgroundModel(0.1)
 	base := NewImage(20, 10)
 	base.Fill(0.3)
+	mask := make([]uint8, len(base.Pix))
 	// Prime with several static frames.
 	for i := 0; i < 5; i++ {
-		if _, err := bg.Foreground(base, 0.2); err != nil {
+		if err := bg.foreground(base, 0.2, mask); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Now a bright vehicle appears.
 	frame := base.Clone()
 	frame.FillRect(5, 3, 9, 6, 0.95)
-	mask, err := bg.Foreground(frame, 0.2)
-	if err != nil {
+	if err := bg.foreground(frame, 0.2, mask); err != nil {
 		t.Fatal(err)
 	}
 	on := 0
-	for _, v := range mask.Pix {
-		if v >= 0.5 {
-			on++
-		}
+	for _, v := range mask {
+		on += int(v)
 	}
 	if on != 4*3 {
 		t.Fatalf("foreground pixels = %d, want 12", on)
@@ -126,15 +124,15 @@ func TestBackgroundModelDetectsMover(t *testing.T) {
 
 func TestBackgroundModelAdaptsToIlluminationDrift(t *testing.T) {
 	bg := NewBackgroundModel(0.2)
+	mask := make([]uint8, 8*8)
 	for i := 0; i < 60; i++ {
 		frame := NewImage(8, 8)
 		frame.Fill(0.3 + float64(i)*0.005) // slow brightening
-		mask, err := bg.Foreground(frame, 0.15)
-		if err != nil {
+		if err := bg.foreground(frame, 0.15, mask); err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range mask.Pix {
-			if v >= 0.5 {
+		for _, v := range mask {
+			if v != 0 {
 				t.Fatalf("frame %d: drift misdetected as motion", i)
 			}
 		}

@@ -27,42 +27,53 @@ type Features struct {
 	Speckle float64
 }
 
-// Extract computes frame features.
+// Extract computes frame features. The sums run in a fixed order —
+// brightness and speckle over all pixels row-major, each 3×3 local sum
+// top-left to bottom-right, noise over the interior row-major — because
+// float addition is not associative and the fitted centroids (and with
+// them every scene decision) are made of these exact values.
 func Extract(im *vision.Image) Features {
 	var f Features
-	n := float64(im.W * im.H)
+	w, h := im.W, im.H
+	n := float64(w * h)
 	if n == 0 {
 		return f
 	}
+	pix := im.Pix[:w*h]
 	sum := 0.0
 	speckles := 0
-	noise := 0.0
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			v := im.At(x, y)
-			sum += v
-			if v >= 0.985 || v <= 0.015 {
-				speckles++
-			}
-			// 3×3 local mean (out-of-bounds reads are zero; skip the
-			// border to avoid fabricated contrast).
-			if x > 0 && x < im.W-1 && y > 0 && y < im.H-1 {
-				local := 0.0
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						local += im.At(x+dx, y+dy)
-					}
-				}
-				noise += math.Abs(v - local/9)
-			}
+	for _, v := range pix {
+		sum += v
+		if v >= 0.985 || v <= 0.015 {
+			speckles++
 		}
 	}
 	f.Mean = sum / n
 	f.Speckle = float64(speckles) / n
-	inner := float64((im.W - 2) * (im.H - 2))
-	if inner > 0 {
-		f.Noise = noise / inner
+	// The border is skipped: its 3×3 window leaves the image, and
+	// padding would fabricate contrast.
+	if w < 3 || h < 3 {
+		return f
 	}
+	noise := 0.0
+	for y := 1; y < h-1; y++ {
+		up, mid, down := pix[(y-1)*w:y*w], pix[y*w:(y+1)*w], pix[(y+1)*w:(y+2)*w]
+		for x := 1; x < w-1; x++ {
+			a, b, c := up[x-1:x+2], mid[x-1:x+2], down[x-1:x+2]
+			local := 0.0
+			local += a[0]
+			local += a[1]
+			local += a[2]
+			local += b[0]
+			local += b[1]
+			local += b[2]
+			local += c[0]
+			local += c[1]
+			local += c[2]
+			noise += math.Abs(b[1] - local/9)
+		}
+	}
+	f.Noise = noise / float64((w-2)*(h-2))
 	return f
 }
 

@@ -1,6 +1,8 @@
 package weather
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"safecross/internal/sim"
@@ -140,5 +142,83 @@ func TestMonitorDefaultDebounce(t *testing.T) {
 	mon := NewMonitor(det, sim.Rain, 0)
 	if mon.Current() != sim.Rain {
 		t.Fatalf("initial scene = %v", mon.Current())
+	}
+}
+
+// extractAt is the reference Extract: ten bounds-checked At reads per
+// pixel, one interleaved loop. Extract must reproduce its Features
+// with ==; a rounding difference would move the fitted centroids.
+func extractAt(im *vision.Image) Features {
+	var f Features
+	n := float64(im.W * im.H)
+	if n == 0 {
+		return f
+	}
+	sum := 0.0
+	speckles := 0
+	noise := 0.0
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			v := im.At(x, y)
+			sum += v
+			if v >= 0.985 || v <= 0.015 {
+				speckles++
+			}
+			if x > 0 && x < im.W-1 && y > 0 && y < im.H-1 {
+				local := 0.0
+				for dy := -1; dy <= 1; dy++ {
+					for dx := -1; dx <= 1; dx++ {
+						local += im.At(x+dx, y+dy)
+					}
+				}
+				noise += math.Abs(v - local/9)
+			}
+		}
+	}
+	f.Mean = sum / n
+	f.Speckle = float64(speckles) / n
+	inner := float64((im.W - 2) * (im.H - 2))
+	if inner > 0 {
+		f.Noise = noise / inner
+	}
+	return f
+}
+
+func TestExtractMatchesOracle(t *testing.T) {
+	for _, w := range sim.AllWeathers() {
+		world := sim.NewWorld(sim.Config{Weather: w, Seed: 60 + int64(w), TruckPresent: true, TurnerEnabled: true})
+		for n, fr := range world.RunFrames(200) {
+			if got, want := Extract(fr), extractAt(fr); got != want {
+				t.Fatalf("%v frame %d: Extract = %+v, want %+v", w, n, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, size := range [][2]int{{0, 0}, {1, 1}, {2, 5}, {5, 2}, {3, 3}, {1, 9}, {4, 3}} {
+		im := vision.NewImage(size[0], size[1])
+		for i := range im.Pix {
+			im.Pix[i] = rng.Float64()
+		}
+		if got, want := Extract(im), extractAt(im); got != want {
+			t.Fatalf("%dx%d: Extract = %+v, want %+v", size[0], size[1], got, want)
+		}
+	}
+}
+
+func TestSceneDetectAllocatesNothing(t *testing.T) {
+	mon := NewMonitor(fitDetector(t), sim.Day, 0)
+	frames := sim.NewWorld(sim.Config{Weather: sim.Rain, Seed: 14}).RunFrames(8)
+	n := 0
+	var f Features
+	allocs := testing.AllocsPerRun(50, func() {
+		f = Extract(frames[n%len(frames)])
+		mon.Observe(frames[n%len(frames)])
+		n++
+	})
+	if allocs != 0 {
+		t.Fatalf("Extract + Monitor.Observe allocate %v times a frame, want 0", allocs)
+	}
+	if f.Mean == 0 {
+		t.Fatal("features of a rain frame must not be zero")
 	}
 }
