@@ -235,9 +235,13 @@ func printTableII(w io.Writer, reps int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-10s %-14s %-9s %s\n", "method", "time/frame", "detected", "detections")
+	fmt.Fprintf(w, "%-10s %-14s %-9s %-10s %s\n", "method", "time/frame", "MFLOP", "detected", "detections")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %-14v %-9v %d\n", r.Method, r.MeanTime.Round(10*time.Microsecond), r.Detected, r.Detections)
+		mflop := "-"
+		if r.Flops > 0 {
+			mflop = fmt.Sprintf("%.1f", float64(r.Flops)/1e6)
+		}
+		fmt.Fprintf(w, "%-10s %-14v %-9s %-10v %d\n", r.Method, r.MeanTime.Round(10*time.Microsecond), mflop, r.Detected, r.Detections)
 	}
 	fmt.Fprintln(w)
 	return nil

@@ -232,11 +232,19 @@ func TestRunTableIIShape(t *testing.T) {
 		!byName["dense-of"].Detected || byName["yolite"].Detected {
 		t.Fatalf("detection pattern wrong: %+v", rows)
 	}
-	// Timing ordering: BGS < sparse < dense < yolite.
+	// Cost ordering: BGS < sparse < dense < yolite. The first two
+	// steps and sparse < yolite are gaps of 3x or more in wall time on
+	// any host; dense vs yolite is a near tie in wall time that flips
+	// with the core count (yolite's kernels split across cores,
+	// Horn–Schunck is one scalar loop), so it is asserted on the
+	// analytic FLOP count instead.
 	if !(byName["bgs"].MeanTime < byName["sparse-of"].MeanTime &&
 		byName["sparse-of"].MeanTime < byName["dense-of"].MeanTime &&
-		byName["dense-of"].MeanTime < byName["yolite"].MeanTime) {
+		byName["sparse-of"].MeanTime < byName["yolite"].MeanTime) {
 		t.Fatalf("timing ordering wrong: %+v", rows)
+	}
+	if dense, yol := byName["dense-of"].Flops, byName["yolite"].Flops; !(0 < dense && dense < yol) {
+		t.Fatalf("FLOP ordering wrong: dense-of %d, yolite %d", dense, yol)
 	}
 	if _, err := RunTableII(dets, scene, 0); err == nil {
 		t.Fatal("expected reps error")

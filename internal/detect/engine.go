@@ -13,9 +13,9 @@ import (
 // contract: each [1,H,W] frame tensor maps to two-class logits over
 // {danger, safe}, where a vehicle anywhere in frame — peak cell
 // objectness at or above the detector's threshold — reads as danger.
-// This is what lets detector workloads ride the same worker pool,
-// batcher, and workspace pool as the video classifiers: the engine
-// only sees infer.Model.
+// This is what lets detector workloads ride the same workers, batcher,
+// and per-worker workspaces as the video classifiers: the engine only
+// sees infer.Model.
 type Presence struct {
 	y *Yolite
 }

@@ -17,10 +17,22 @@ type Row struct {
 	Method string
 	// MeanTime is the wall-clock mean per Detect call.
 	MeanTime time.Duration
+	// Flops is the analytic floating-point operation count of one
+	// Detect at the scene's frame size, for the methods whose cost is
+	// a fixed arithmetic kernel (dense flow, yolite); 0 for the
+	// data-dependent ones (BGS, sparse flow). Unlike MeanTime it does
+	// not depend on the host.
+	Flops int64
 	// Detected reports whether the danger-zone vehicle was found.
 	Detected bool
 	// Detections is the box count on the canonical frame.
 	Detections int
+}
+
+// flopCounter is implemented by detectors whose per-frame cost is a
+// fixed arithmetic kernel, countable from the frame size alone.
+type flopCounter interface {
+	Flops(w, h int) int64
 }
 
 // HitOverlap is the minimum detection/zone overlap (pixels) that
@@ -59,12 +71,17 @@ func RunTableII(dets []Detector, scene *sim.OccludedScene, reps int) ([]Row, err
 			}
 		}
 		elapsed := time.Since(start) / time.Duration(reps)
-		rows = append(rows, Row{
+		row := Row{
 			Method:     d.Name(),
 			MeanTime:   elapsed,
 			Detected:   HitsZone(rects, scene.Zone, HitOverlap),
 			Detections: len(rects),
-		})
+		}
+		if fc, ok := d.(flopCounter); ok {
+			last := scene.Frames[len(scene.Frames)-1]
+			row.Flops = fc.Flops(last.W, last.H)
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

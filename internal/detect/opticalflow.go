@@ -155,6 +155,15 @@ func NewDenseFlow() *DenseFlow {
 // Name returns "dense-of".
 func (d *DenseFlow) Name() string { return "dense-of" }
 
+// Flops counts one Detect on w×h frames: Horn–Schunck's derivative
+// estimates (9 operations a pixel) plus Iters relaxation sweeps of 24
+// a pixel (two 4-neighbour means, the shared numerator and
+// denominator, and the u and v updates). The thresholding and
+// labelling after it are comparisons, not counted.
+func (d *DenseFlow) Flops(w, h int) int64 {
+	return int64(w) * int64(h) * (9 + 24*int64(d.Iters))
+}
+
 // Detect computes dense flow between the last two frames and boxes
 // high-magnitude regions.
 func (d *DenseFlow) Detect(frames []*vision.Image) ([]vision.Rect, error) {

@@ -47,24 +47,40 @@ func NewYolite(rng *rand.Rand) *Yolite {
 	// A full-resolution stem plus three downsampling-free and
 	// downsampling stages: deep enough to be the slowest method in
 	// Table II, like the full YOLOv3 backbone is on a CPU.
-	net := nn.NewSequential(
-		nn.NewConv2D("yolite.stem", nn.Conv2DConfig{
-			InC: 1, OutC: 32, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1,
-		}, rng),
-		nn.NewReLU(),
-		nn.NewConv2D("yolite.conv1", nn.Conv2DConfig{
-			InC: 32, OutC: 56, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1,
-		}, rng),
-		nn.NewReLU(),
-		nn.NewConv2D("yolite.conv2", nn.Conv2DConfig{
-			InC: 56, OutC: 56, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1,
-		}, rng),
-		nn.NewReLU(),
-		nn.NewConv2D("yolite.head", nn.Conv2DConfig{
-			InC: 56, OutC: 1, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1,
-		}, rng),
-	)
+	net := nn.NewSequential()
+	for i, c := range yoliteConvs {
+		if i > 0 {
+			net.Append(nn.NewReLU())
+		}
+		net.Append(nn.NewConv2D(c.name, c.cfg, rng))
+	}
 	return &Yolite{net: net, Threshold: 0.5, stride: yoliteStride, minCells: 2}
+}
+
+// yoliteConvs is the grid CNN's convolution stack, a ReLU between
+// consecutive convolutions.
+var yoliteConvs = []struct {
+	name string
+	cfg  nn.Conv2DConfig
+}{
+	{"yolite.stem", nn.Conv2DConfig{InC: 1, OutC: 32, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}},
+	{"yolite.conv1", nn.Conv2DConfig{InC: 32, OutC: 56, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1}},
+	{"yolite.conv2", nn.Conv2DConfig{InC: 56, OutC: 56, KH: 3, KW: 3, SH: 2, SW: 2, PH: 1, PW: 1}},
+	{"yolite.head", nn.Conv2DConfig{InC: 56, OutC: 1, KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1}},
+}
+
+// Flops counts one Detect on a w×h frame: a multiply and an add per
+// weight per output position of every convolution. Bias, ReLU and the
+// sigmoid are one operation a position and left out.
+func (d *Yolite) Flops(w, h int) int64 {
+	var total int64
+	for _, c := range yoliteConvs {
+		k := c.cfg
+		h = (h+2*k.PH-k.KH)/k.SH + 1
+		w = (w+2*k.PW-k.KW)/k.SW + 1
+		total += 2 * int64(k.OutC*k.InC*k.KH*k.KW) * int64(h*w)
+	}
+	return total
 }
 
 // Name returns "yolite".
@@ -134,7 +150,7 @@ func (d *Yolite) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.
 	return out, nil
 }
 
-// ScoreMapWS scores one frame through the pooled eval path: the frame
+// ScoreMapWS scores one frame through the workspace eval path: the frame
 // copy, every conv scratch buffer, and the sigmoid objectness map all
 // land in ws, so a warm caller's per-frame score path allocates
 // nothing. The returned [1,GH,GW] map (cells of stride×stride pixels)

@@ -1,13 +1,13 @@
 // Package infer is the unified inference engine every model stack
 // serves through: video classifiers (SlowFast/C3D/TSN), the yolite
 // grid detector, and MAML-adapted few-shot models all implement one
-// contract — Model — and all eval-path scratch memory comes from
-// nn.Workspace buffers, shared across serving workers via Pool.
+// contract — Model — and all eval-path scratch memory comes from the
+// caller's nn.Workspace. A serving worker owns one workspace for its
+// whole life (see internal/serve).
 //
 // The engine owns the pieces that used to be duplicated per stack:
 // uniform batch validation, eval-mode switching, batched forward
-// dispatch, and argmax decoding. A stack only provides ForwardBatch;
-// stacks that cannot batch natively are adapted with Sequentialize.
+// dispatch, and argmax decoding. A stack only provides ForwardBatch.
 package infer
 
 import (
@@ -32,44 +32,6 @@ type Model interface {
 	// SetTrain toggles training behaviour; the engine always calls
 	// SetTrain(false) before an eval forward.
 	SetTrain(train bool)
-}
-
-// Forwarder is the minimal single-input eval surface: what a model
-// must offer to be served at all. Models that cannot run a native
-// batched pass are lifted to the engine contract with Sequentialize.
-type Forwarder interface {
-	Name() string
-	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
-	SetTrain(train bool)
-}
-
-// Sequentialize adapts a Forwarder to the engine contract by driving
-// its Forward input by input. The workspace is unused — a sequential
-// model allocates as its Forward does — but the validation, eval-mode
-// discipline, and decoding above it are identical to the native path.
-// A Forwarder that already implements Model passes through unchanged.
-func Sequentialize(f Forwarder) Model {
-	if m, ok := f.(Model); ok {
-		return m
-	}
-	return &sequentialized{f: f}
-}
-
-type sequentialized struct{ f Forwarder }
-
-func (s *sequentialized) Name() string        { return s.f.Name() }
-func (s *sequentialized) SetTrain(train bool) { s.f.SetTrain(train) }
-
-func (s *sequentialized) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
-	out := make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		logits, err := s.f.Forward(x)
-		if err != nil {
-			return nil, fmt.Errorf("input %d: %w", i, err)
-		}
-		out[i] = logits
-	}
-	return out, nil
 }
 
 // ValidateBatch checks a batch up front: non-empty, no nil inputs, and
@@ -97,8 +59,8 @@ func ValidateBatch(xs []*tensor.Tensor) error {
 // PredictBatch runs one eval-mode batched forward and decodes each
 // output to its argmax label, in input order. Scratch comes from ws; a
 // nil ws is replaced by a throwaway workspace, so only long-lived
-// callers that pass one (serving workers via Pool, benchmark loops)
-// reach steady-state zero allocation inside the model.
+// callers that pass one (serving workers, benchmark loops) reach
+// steady-state zero allocation inside the model.
 func PredictBatch(m Model, xs []*tensor.Tensor, ws *nn.Workspace) ([]int, error) {
 	if err := ValidateBatch(xs); err != nil {
 		return nil, err

@@ -2,11 +2,9 @@ package infer
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"safecross/internal/nn"
-	"safecross/internal/telemetry"
 	"safecross/internal/tensor"
 )
 
@@ -40,22 +38,6 @@ func (m *argmaxModel) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*te
 		copy(l.Data, scratch.Data)
 		out[i] = l
 	}
-	return out, nil
-}
-
-// fwdOnly implements just Forwarder.
-type fwdOnly struct {
-	train    bool
-	forwards int
-}
-
-func (f *fwdOnly) Name() string        { return "fwd-only" }
-func (f *fwdOnly) SetTrain(train bool) { f.train = train }
-
-func (f *fwdOnly) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	f.forwards++
-	out := tensor.New(2)
-	copy(out.Data, x.Data[:2])
 	return out, nil
 }
 
@@ -109,44 +91,6 @@ func TestPredictBatchValidation(t *testing.T) {
 	}
 }
 
-func TestSequentializeMatchesNativeAndPassesThrough(t *testing.T) {
-	f := &fwdOnly{train: true}
-	m := Sequentialize(f)
-	xs := []*tensor.Tensor{input(1, 0), input(0, 2), input(5, 4)}
-	labels, err := PredictBatch(m, xs, nn.NewWorkspace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	native, err := PredictBatch(&argmaxModel{}, xs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range labels {
-		if labels[i] != native[i] {
-			t.Fatalf("input %d: sequentialized label %d != native %d", i, labels[i], native[i])
-		}
-	}
-	if f.forwards != len(xs) {
-		t.Fatalf("forwards = %d, want %d", f.forwards, len(xs))
-	}
-	if f.train {
-		t.Fatal("SetTrain(false) must reach the wrapped Forwarder")
-	}
-
-	dual := &dualModel{}
-	if Sequentialize(dual) != Model(dual) {
-		t.Fatal("a Forwarder that already implements Model must pass through")
-	}
-}
-
-// dualModel implements both Forwarder and Model, like the batch-native
-// video classifiers: Sequentialize must hand it back untouched.
-type dualModel struct{ fwdOnly }
-
-func (d *dualModel) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
-	return statelessModel{}.ForwardBatch(xs, ws)
-}
-
 func TestPredictSingle(t *testing.T) {
 	label, err := Predict(&argmaxModel{}, input(0, 7), nil)
 	if err != nil {
@@ -154,121 +98,5 @@ func TestPredictSingle(t *testing.T) {
 	}
 	if label != 1 {
 		t.Fatalf("label = %d, want 1", label)
-	}
-}
-
-func TestPoolReusesWorkspaces(t *testing.T) {
-	p := NewPool()
-	ws1 := p.Get()
-	ws1.Get(16)
-	p.Put(ws1)
-	ws2 := p.Get()
-	if ws2 != ws1 {
-		t.Fatal("second Get must reuse the returned workspace")
-	}
-	ws2.Get(16)
-	if ws2.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 (the pooled buffer must be reused across Put/Get)", ws2.Misses)
-	}
-	ws3 := p.Get()
-	if ws3 == ws2 {
-		t.Fatal("a checked-out workspace must not be handed out twice")
-	}
-	p.Put(ws2)
-	p.Put(ws3)
-	p.Put(nil) // no-op
-}
-
-func TestPoolExportsWorkspaceCounters(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := NewPool(WithMetrics(reg))
-
-	ws := p.Get()
-	ws.Get(8)
-	ws.Get(8)
-	p.Put(ws) // 2 gets, 2 misses → 0 hits, 2 misses
-
-	ws = p.Get()
-	ws.Get(8)
-	ws.Reset()
-	ws.Get(8)
-	p.Put(ws) // 2 gets, 0 misses → 2 hits
-
-	snap := reg.Snapshot()
-	if hits := snap.Int("infer_workspace_hits_total"); hits != 2 {
-		t.Fatalf("hits = %d, want 2", hits)
-	}
-	if misses := snap.Int("infer_workspace_misses_total"); misses != 2 {
-		t.Fatalf("misses = %d, want 2", misses)
-	}
-	if size := snap.Int("infer_pool_workspaces"); size != 1 {
-		t.Fatalf("pool workspaces = %d, want 1", size)
-	}
-}
-
-func TestPoolAdoptsForeignWorkspaceWithoutHistory(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := NewPool(WithMetrics(reg))
-	ws := nn.NewWorkspace()
-	ws.Get(4) // pre-pool history: must not be exported
-	p.Put(ws)
-	snap := reg.Snapshot()
-	if n := snap.Int("infer_workspace_misses_total"); n != 0 {
-		t.Fatalf("adopted workspace exported pre-pool history: misses = %d", n)
-	}
-	if p.Get() != ws {
-		t.Fatal("adopted workspace must become available")
-	}
-}
-
-// statelessModel carries no mutable state, so concurrent goroutines
-// can share one instance while the race detector watches the pool.
-type statelessModel struct{}
-
-func (statelessModel) Name() string  { return "stateless" }
-func (statelessModel) SetTrain(bool) {}
-
-func (statelessModel) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
-	defer ws.Reset()
-	out := make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		scratch := ws.Get(2)
-		copy(scratch.Data, x.Data[:2])
-		l := tensor.New(2)
-		copy(l.Data, scratch.Data)
-		out[i] = l
-	}
-	return out, nil
-}
-
-// TestPoolConcurrentCheckout exercises the pool the way serve workers
-// do — concurrent Get/forward/Put cycles — under the race detector.
-func TestPoolConcurrentCheckout(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := NewPool(WithMetrics(reg))
-	m := statelessModel{}
-	const workers, rounds = 8, 50
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				ws := p.Get()
-				if _, err := PredictBatch(m, []*tensor.Tensor{input(1, 0)}, ws); err != nil {
-					t.Error(err)
-				}
-				p.Put(ws)
-			}
-		}()
-	}
-	wg.Wait()
-	if p.created > workers {
-		t.Fatalf("pool built %d workspaces for %d workers", p.created, workers)
-	}
-	snap := reg.Snapshot()
-	total := snap.Int("infer_workspace_hits_total") + snap.Int("infer_workspace_misses_total")
-	if want := workers * rounds; total != want {
-		t.Fatalf("hits+misses = %d, want %d (one Get per round)", total, want)
 	}
 }

@@ -25,9 +25,8 @@ type Conv2D struct {
 }
 
 var (
-	_ Layer          = (*Conv2D)(nil)
-	_ TrainAware     = (*Conv2D)(nil)
-	_ WorkspaceLayer = (*Conv2D)(nil)
+	_ Layer      = (*Conv2D)(nil)
+	_ TrainAware = (*Conv2D)(nil)
 )
 
 // Conv2DConfig describes a Conv2D layer; zero strides default to 1.
@@ -225,9 +224,8 @@ type Conv3D struct {
 }
 
 var (
-	_ Layer          = (*Conv3D)(nil)
-	_ TrainAware     = (*Conv3D)(nil)
-	_ WorkspaceLayer = (*Conv3D)(nil)
+	_ Layer      = (*Conv3D)(nil)
+	_ TrainAware = (*Conv3D)(nil)
 )
 
 // Conv3DConfig describes a Conv3D layer; zero strides default to 1.

@@ -115,17 +115,6 @@ func TestGradCheckReLU(t *testing.T) {
 	gradCheck(t, NewReLU(), x, 12, 1e-6)
 }
 
-func TestGradCheckLeakyReLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := tensor.RandnTensor(rng, 1, 12)
-	for i, v := range x.Data {
-		if math.Abs(v) < 0.05 {
-			x.Data[i] = -0.1
-		}
-	}
-	gradCheck(t, NewLeakyReLU(0.1), x, 12, 1e-6)
-}
-
 func TestGradCheckMaxPool2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.RandnTensor(rng, 1, 2, 6, 6)

@@ -193,53 +193,6 @@ func reluChunk(outData, xData []float64, lo, hi int) {
 // Params returns nil; ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
-// LeakyReLU is ReLU with a small negative-side slope, used by the
-// yolite detector stem where dead units hurt its tiny capacity.
-type LeakyReLU struct {
-	// Alpha is the negative-side slope (e.g. 0.1).
-	Alpha float64
-
-	cacheX *tensor.Tensor
-}
-
-var _ Layer = (*LeakyReLU)(nil)
-
-// NewLeakyReLU returns a LeakyReLU with the given negative slope.
-func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
-
-// Forward applies max(x, αx).
-func (r *LeakyReLU) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	r.cacheX = x
-	out := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = r.Alpha * v
-		}
-	}
-	return out, nil
-}
-
-// Backward scales gradients by 1 or α depending on the cached sign.
-func (r *LeakyReLU) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
-	if r.cacheX == nil || len(dout.Data) != len(r.cacheX.Data) {
-		return nil, fmt.Errorf("leakyrelu: grad/input mismatch")
-	}
-	dx := tensor.New(dout.Shape...)
-	for i, v := range r.cacheX.Data {
-		if v > 0 {
-			dx.Data[i] = dout.Data[i]
-		} else {
-			dx.Data[i] = r.Alpha * dout.Data[i]
-		}
-	}
-	return dx, nil
-}
-
-// Params returns nil; LeakyReLU has no parameters.
-func (r *LeakyReLU) Params() []*Param { return nil }
-
 // Flatten reshapes any input to a rank-1 vector and restores the shape
 // on the way back.
 type Flatten struct {

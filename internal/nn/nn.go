@@ -46,8 +46,17 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 // before Backward; Backward consumes the gradient of the loss with
 // respect to the layer output and returns the gradient with respect to
 // the layer input, accumulating parameter gradients along the way.
+//
+// ForwardWS is the allocation-disciplined eval-only pass: scratch and
+// output buffers come from ws, no training caches are written, and
+// train-time behaviour (dropout) is the identity. Where Forward takes
+// [C,...] ForwardWS also accepts channel-major batches [C,N,...] with
+// the batch axis second, processing N samples in one pass (one im2col
+// + one matmul for the conv layers). Rank disambiguates; a
+// single-sample input gives Forward's output bit for bit.
 type Layer interface {
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
+	ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error)
 	Backward(dout *tensor.Tensor) (*tensor.Tensor, error)
 	Params() []*Param
 }

@@ -6,100 +6,102 @@ import (
 	"safecross/internal/tensor"
 )
 
-// Workspace is a pool of scratch tensors for the eval-mode forward
-// path. Layers obtain their column matrices and activation buffers
-// from it instead of allocating, so a long-lived caller (one serving
-// worker, one benchmark loop) reaches a steady state where a forward
-// pass allocates nothing regardless of how many batches it runs.
+// Workspace is the scratch arena of the eval-mode forward path: one
+// slab of float64s that layers carve their column matrices and
+// activation buffers from instead of allocating. A long-lived caller
+// (one serving worker, one benchmark loop) therefore reaches a steady
+// state where a forward pass allocates nothing.
 //
 // Ownership rules:
 //
-//   - A Workspace belongs to exactly one goroutine at a time. It does
-//     no locking; concurrent use is a data race. The serving plane
-//     gives each worker its own (see internal/serve).
-//   - Buffers returned by Get stay valid until Reset. Reset recycles
-//     every outstanding buffer at once, so a forward pass Gets freely
-//     and its driver Resets between batches.
-//   - Buffers are pooled by element count, not shape: a scratch tensor
-//     is handed back reshaped to whatever was asked for, so one batch
-//     size's buffers are reused verbatim and a smaller final batch
-//     still hits the pool when counts coincide.
+//   - A Workspace belongs to exactly one goroutine. It does no
+//     locking; concurrent use is a data race. Each serving worker owns
+//     its own (see internal/serve).
+//   - Get carves the slab front to back. Buffers stay valid until
+//     Reset, which rewinds the slab for the next pass, so a forward
+//     pass Gets freely and its caller Resets between batches.
+//   - A pass that outgrows the slab still runs: the overflowing Gets
+//     allocate (and count a Miss), and the next pass starts on a slab
+//     sized to that pass. Any later pass of the same or a smaller
+//     total, in any mix of shapes, then fits. Reserve sizes the slab
+//     ahead of the largest pass a caller expects. The slab is
+//     allocated by the first Get of a pass, so a throwaway workspace
+//     never allocates one.
 //   - Contents are arbitrary after Get. Kernels that accumulate or
 //     skip positions (matmul, im2col padding) zero their destination
 //     themselves; everything else overwrites fully.
 type Workspace struct {
-	free  map[int][]*tensor.Tensor
-	inUse []*tensor.Tensor
+	slab []float64
+	size int // slab length for the next pass: largest pass or reservation
+	off  int // next free element of slab
+	need int // elements the current pass has asked for
+	// hdrs are the tensor headers Get hands out, reused by position:
+	// the k-th Get of every pass returns hdrs[k].
+	hdrs []*tensor.Tensor
+	used int
 
 	// Gets counts Get calls; Misses counts the ones that had to
 	// allocate. After warm-up Misses stops growing — tests and the
-	// serving stats use the pair to prove the pooled path is hot.
+	// serving stats use the pair to prove the scratch path is hot.
 	Gets   int
 	Misses int
 }
 
-// NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace {
-	return &Workspace{free: make(map[int][]*tensor.Tensor)}
-}
+// NewWorkspace returns an empty workspace; its first pass sizes it.
+func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Get returns a scratch tensor of the given shape, recycling a pooled
-// buffer of the same element count when one is free. Contents are
-// arbitrary.
+// Get returns a scratch tensor of the given shape, carved from the
+// slab. Its Data has cap == len, so an append can never run into the
+// next buffer. Contents are arbitrary.
 func (w *Workspace) Get(shape ...int) *tensor.Tensor {
+	if w.used == 0 && len(w.slab) < w.size {
+		w.slab = make([]float64, w.size)
+	}
 	w.Gets++
 	n := tensor.Numel(shape)
-	var t *tensor.Tensor
-	if list := w.free[n]; len(list) > 0 {
-		t = list[len(list)-1]
-		list[len(list)-1] = nil
-		w.free[n] = list[:len(list)-1]
-		t.Shape = append(t.Shape[:0], shape...)
+	w.need += n
+	var data []float64
+	if w.off+n <= len(w.slab) {
+		data = w.slab[w.off : w.off+n : w.off+n]
+		w.off += n
 	} else {
 		w.Misses++
-		t = tensor.New(shape...)
+		data = make([]float64, n)
 	}
-	w.inUse = append(w.inUse, t)
+	if w.used == len(w.hdrs) {
+		w.hdrs = append(w.hdrs, &tensor.Tensor{})
+	}
+	t := w.hdrs[w.used]
+	w.used++
+	t.Data = data
+	t.Shape = append(t.Shape[:0], shape...)
 	return t
 }
 
-// Reset returns every outstanding scratch tensor to the pool. All
-// buffers previously returned by Get become invalid for the caller.
+// Reset rewinds the slab: every buffer previously returned by Get
+// becomes invalid for the caller. A pass that outgrew the slab has the
+// next pass start on one sized to it.
 func (w *Workspace) Reset() {
-	for i, t := range w.inUse {
-		w.free[len(t.Data)] = append(w.free[len(t.Data)], t)
-		w.inUse[i] = nil
+	w.Reserve(w.need)
+	w.off, w.need, w.used = 0, 0, 0
+}
+
+// Reserve grows the slab to hold at least n elements from the next
+// pass on, so any pass of up to n elements runs without a Miss.
+func (w *Workspace) Reserve(n int) {
+	if n > w.size {
+		w.size = n
 	}
-	w.inUse = w.inUse[:0]
 }
 
-// WorkspaceLayer is implemented by layers with an allocation-
-// disciplined, eval-only forward pass: scratch and output buffers come
-// from ws, no training caches are written, and train-time behaviour
-// (dropout) is the identity.
-//
-// ForwardWS additionally understands channel-major batched inputs:
-// where Forward takes [C,...] a WorkspaceLayer also accepts [C,N,...]
-// with the batch axis second, processing N samples in one pass (one
-// im2col + one matmul for the conv layers). Rank disambiguates; a
-// single-sample input behaves exactly like Forward minus the caches.
-type WorkspaceLayer interface {
-	ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error)
-}
+// Size returns the slab's length in elements from the next pass on.
+func (w *Workspace) Size() int { return w.size }
 
-// ForwardWS runs the chain like Forward, routing each layer through
-// its workspace path when it has one. Layers without a ForwardWS fall
-// back to Forward — correct for single-sample inputs, but batched
-// inputs require every layer in the chain to be a WorkspaceLayer.
+// ForwardWS runs the chain's eval-mode workspace path front to back.
 func (s *Sequential) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error) {
 	var err error
 	for i, l := range s.layers {
-		if wl, ok := l.(WorkspaceLayer); ok {
-			x, err = wl.ForwardWS(x, ws)
-		} else {
-			x, err = l.Forward(x)
-		}
-		if err != nil {
+		if x, err = l.ForwardWS(x, ws); err != nil {
 			return nil, fmt.Errorf("layer %d: %w", i, err)
 		}
 	}

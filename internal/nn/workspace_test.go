@@ -7,23 +7,114 @@ import (
 	"safecross/internal/tensor"
 )
 
-func TestWorkspaceReusesBuffersByCount(t *testing.T) {
+// TestWorkspaceRewindsSlabOnReset checks that Reset rewinds rather
+// than recycles: the first Get of a pass starts at the front of the
+// slab, whatever shape it asks for.
+func TestWorkspaceRewindsSlabOnReset(t *testing.T) {
 	ws := NewWorkspace()
-	a := ws.Get(3, 4)
-	b := ws.Get(2, 6) // same element count, distinct buffer while a is live
-	if &a.Data[0] == &b.Data[0] {
-		t.Fatal("two live Gets shared one buffer")
+	ws.Get(3, 4)
+	ws.Get(2, 6)
+	ws.Reset() // the first pass sizes the slab: 24 elements
+	if ws.Misses != 2 || ws.Size() != 24 {
+		t.Fatalf("after the first pass misses=%d size=%d, want 2 and 24", ws.Misses, ws.Size())
 	}
+	front := &ws.Get(3, 4).Data[0]
+	ws.Get(2, 6)
 	ws.Reset()
 	c := ws.Get(12)
-	if &c.Data[0] != &a.Data[0] && &c.Data[0] != &b.Data[0] {
-		t.Fatal("Get after Reset did not recycle a pooled buffer")
+	if &c.Data[0] != front {
+		t.Fatal("first Get after Reset did not start at the front of the slab")
 	}
 	if c.Rank() != 1 || c.Shape[0] != 12 {
-		t.Fatalf("recycled buffer shape %v, want [12]", c.Shape)
+		t.Fatalf("rewound buffer shape %v, want [12]", c.Shape)
 	}
 	if ws.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (third Get must hit the pool)", ws.Misses)
+		t.Fatalf("misses = %d, want 2 (only the first pass allocates)", ws.Misses)
+	}
+}
+
+// TestWorkspaceLiveGetsAreDisjoint checks that buffers live in one
+// pass never overlap, on the slab and on the overflow path alike, and
+// that cap == len, so an append reallocates instead of running into a
+// neighbour.
+func TestWorkspaceLiveGetsAreDisjoint(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Get(10)
+	ws.Reset() // slab of 10: the first two Gets below fit, the third overflows
+	bufs := []*tensor.Tensor{ws.Get(2, 2), ws.Get(6), ws.Get(3, 3)}
+	for i, b := range bufs {
+		if cap(b.Data) != len(b.Data) {
+			t.Fatalf("buffer %d: cap %d != len %d", i, cap(b.Data), len(b.Data))
+		}
+		for k := range b.Data {
+			b.Data[k] = float64(i)
+		}
+	}
+	_ = append(bufs[0].Data, -1)
+	for i, b := range bufs {
+		for k, v := range b.Data {
+			if v != float64(i) {
+				t.Fatalf("buffer %d element %d = %v: live buffers overlap", i, k, v)
+			}
+		}
+	}
+}
+
+// TestWorkspaceNoMissWithinHighWaterMark checks the slab's sizing
+// rule: after a pass, any pass of the same or a smaller total — in
+// any mix of shapes — runs without a Miss.
+func TestWorkspaceNoMissWithinHighWaterMark(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Get(4, 7)
+	ws.Get(28)
+	ws.Get(3, 3)
+	ws.Reset() // 65 elements
+	warm := ws.Misses
+	passes := [][][]int{
+		{{65}},
+		{{3, 3}, {28}, {4, 7}},
+		{{1}, {2, 2, 2}, {7, 8}},
+		{{5}, {5}, {5}, {5}, {5}, {5}, {5}, {5}, {5}, {5}, {5}, {5}, {5}},
+		{{64}},
+	}
+	for i, pass := range passes {
+		for _, shape := range pass {
+			ws.Get(shape...)
+		}
+		ws.Reset()
+		if ws.Misses != warm {
+			t.Fatalf("pass %d %v missed: misses %d -> %d", i, pass, warm, ws.Misses)
+		}
+	}
+	if ws.Size() != 65 {
+		t.Fatalf("slab size %d, want 65 (no pass outgrew the first)", ws.Size())
+	}
+}
+
+// TestWorkspaceReserveMakesPassAllocationFree checks that a reserved
+// slab serves a pass of up to the reserved size without a Miss and,
+// once the pass's tensor headers exist, without any allocation.
+func TestWorkspaceReserveMakesPassAllocationFree(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Reserve(100)
+	if ws.Size() != 100 {
+		t.Fatalf("size after Reserve(100) = %d", ws.Size())
+	}
+	pass := func() {
+		ws.Get(4, 5)
+		ws.Get(30)
+		ws.Get(2, 3, 5)
+		ws.Reset()
+	}
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Fatalf("reserved pass allocated %.1f times per run", allocs)
+	}
+	if ws.Misses != 0 {
+		t.Fatalf("reserved pass missed %d times", ws.Misses)
+	}
+	ws.Reserve(50) // never shrinks
+	if ws.Size() != 100 {
+		t.Fatalf("Reserve shrank the slab to %d", ws.Size())
 	}
 }
 

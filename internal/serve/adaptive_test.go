@@ -62,9 +62,9 @@ func TestAdaptTarget(t *testing.T) {
 	}
 }
 
-// batchStub is a batch-native engine model whose forward rides the
-// shared workspace — unlike the Forward-only stubClassifier, it moves
-// the pool's hit/miss counters the way the real classifiers do.
+// batchStub is an engine model whose forward draws scratch from the
+// worker's workspace — unlike stubModel, it moves the workspace
+// hit/miss counters the way the real classifiers do.
 type batchStub struct {
 	label int
 	delay time.Duration
@@ -91,7 +91,7 @@ func (m *batchStub) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tens
 
 // TestAdaptiveBatchTargetGrowsUnderSaturation floods two workers with
 // far more producers than they can drain: the scheduler's adaptive
-// target must climb above 1 while the backlog lasts, and the pooled
+// target must climb above 1 while the backlog lasts, and the workers'
 // workspaces must report reuse through the stats façade.
 func TestAdaptiveBatchTargetGrowsUnderSaturation(t *testing.T) {
 	const producers, perProducer = 32, 4
@@ -142,7 +142,7 @@ func TestAdaptiveBatchTargetGrowsUnderSaturation(t *testing.T) {
 		t.Fatalf("adaptive sealing never formed a multi-clip batch: %+v", st)
 	}
 	if st.WorkspaceHits == 0 {
-		t.Fatalf("pooled workspaces reported no reuse: hits=%d misses=%d",
+		t.Fatalf("workspaces reported no reuse: hits=%d misses=%d",
 			st.WorkspaceHits, st.WorkspaceMisses)
 	}
 }

@@ -16,7 +16,8 @@ type serveMetrics struct {
 	// Admission outcomes. Together they tile the request lifecycle:
 	// every submitted request ends in exactly one of completed,
 	// cancelled, expired, failed, or shed, and every refused submission
-	// lands in rejected.
+	// lands in rejected. A request whose context had already ended at
+	// Submit counts as submitted and cancelled at once.
 	submitted     *telemetry.Counter
 	rejected      *telemetry.Counter
 	shed          *telemetry.Counter
@@ -57,6 +58,11 @@ type serveMetrics struct {
 	routWait      *telemetry.Histogram
 	critCompleted *telemetry.Counter
 	routCompleted *telemetry.Counter
+
+	// Workspace Gets across the workers' scratch slabs: hits were
+	// carved from a slab, misses outgrew it and allocated.
+	wsHits   *telemetry.Counter
+	wsMisses *telemetry.Counter
 }
 
 func newServeMetrics(reg *telemetry.Registry) serveMetrics {
@@ -92,6 +98,9 @@ func newServeMetrics(reg *telemetry.Registry) serveMetrics {
 		routWait:      reg.Histogram(`serve_dispatch_wait_seconds{class="routine"}`, "submit-to-dispatch wait by effective class", telemetry.UnitSeconds),
 		critCompleted: reg.Counter(`serve_completed_by_class_total{class="critical"}`, "completed requests by effective class"),
 		routCompleted: reg.Counter(`serve_completed_by_class_total{class="routine"}`, "completed requests by effective class"),
+
+		wsHits:   reg.Counter("infer_workspace_hits_total", "workspace Gets carved from a worker's scratch slab"),
+		wsMisses: reg.Counter("infer_workspace_misses_total", "workspace Gets that outgrew the slab and allocated"),
 	}
 }
 

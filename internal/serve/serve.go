@@ -40,9 +40,11 @@
 //
 // The plane is engine-keyed: workers dispatch through the unified
 // inference engine (infer.Model / infer.PredictBatch), so video
-// classifiers and detector presence models serve interchangeably, and
-// all forward-pass scratch comes from one shared infer.Pool of
-// workspaces whose hit/miss counters land in the telemetry registry.
+// classifiers and detector presence models serve interchangeably.
+// Each worker owns one nn.Workspace for its whole life: a single
+// scratch slab, reserved for a MaxBatch pass after the worker's first
+// batch, so no later forward pass allocates scratch. The workers'
+// workspace hit/miss counters land in the telemetry registry.
 //
 // Each worker owns a private replica of every scene model (forward
 // passes carry mutable state, so replicas are mandatory for
@@ -262,7 +264,7 @@ func Replicas(builder video.Builder, trained map[sim.Weather]video.Classifier) M
 			if err != nil {
 				return nil, fmt.Errorf("serve: replicate %v model: %w", scene, err)
 			}
-			out[scene] = video.Engine(clone)
+			out[scene] = clone
 		}
 		return out, nil
 	}

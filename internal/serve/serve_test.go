@@ -12,47 +12,89 @@ import (
 	"safecross/internal/nn"
 	"safecross/internal/sim"
 	"safecross/internal/tensor"
-	"safecross/internal/video"
 )
 
-// stubClassifier is a controllable classifier for serving tests: it
-// always predicts label, optionally sleeping to simulate compute. The
-// unsynchronised forwards counter is deliberate — if the server ever
-// shared one replica across workers, `go test -race` would flag it.
-type stubClassifier struct {
+// stubModel is a controllable engine model for serving tests: it
+// always predicts label, optionally sleeping per clip to simulate
+// compute, and — when gate is set — holds the server's first forward
+// pass until the test releases it. The unsynchronised forwards counter
+// is deliberate — if the server ever shared one replica across
+// workers, `go test -race` would flag it.
+type stubModel struct {
 	label    int
 	delay    time.Duration
+	gate     *gate
 	forwards int
 }
 
-func (c *stubClassifier) Name() string { return "stub" }
+func (m *stubModel) Name() string  { return "stub" }
+func (m *stubModel) SetTrain(bool) {}
 
-func (c *stubClassifier) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	c.forwards++
-	if c.delay > 0 {
-		time.Sleep(c.delay)
+func (m *stubModel) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
+	m.gate.hold()
+	out := make([]*tensor.Tensor, len(xs))
+	for i := range xs {
+		m.forwards++
+		if m.delay > 0 {
+			time.Sleep(m.delay)
+		}
+		out[i] = tensor.New(2)
+		out[i].Data[m.label] = 1
 	}
-	out := tensor.New(2)
-	out.Data[c.label] = 1
 	return out, nil
 }
 
-func (c *stubClassifier) Backward(d *tensor.Tensor) error { return nil }
-func (c *stubClassifier) Params() []*nn.Param             { return nil }
-func (c *stubClassifier) SetTrain(train bool)             {}
+// gate lets a test hold the server's first forward pass: that pass
+// closes started and blocks until the test closes release. Later
+// passes, on any worker, run straight through.
+type gate struct {
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func newGate() *gate {
+	return &gate{started: make(chan struct{}), release: make(chan struct{})}
+}
+
+// hold blocks the first caller until release; a nil gate never holds.
+func (g *gate) hold() {
+	if g == nil {
+		return
+	}
+	first := false
+	g.once.Do(func() {
+		first = true
+		close(g.started)
+	})
+	if first {
+		<-g.release
+	}
+}
 
 // stubFactory returns fresh per-worker replicas predicting safe for
-// day and danger for rain/snow, with the given per-clip delay. The
-// stub is Forward-only, so it exercises the engine's Sequentialize
-// adapter — the serving plane must keep working for models without a
-// native batched pass.
-func stubFactory(delay time.Duration) ModelFactory {
+// day and danger for rain/snow, with the given per-clip delay.
+func stubFactory(delay time.Duration) ModelFactory { return gatedFactory(delay, nil) }
+
+// gatedFactory is stubFactory with every replica sharing one gate.
+func gatedFactory(delay time.Duration, g *gate) ModelFactory {
 	return func() (map[sim.Weather]infer.Model, error) {
 		return map[sim.Weather]infer.Model{
-			sim.Day:  video.Engine(&stubClassifier{label: dataset.ClassSafe, delay: delay}),
-			sim.Rain: video.Engine(&stubClassifier{label: dataset.ClassDanger, delay: delay}),
-			sim.Snow: video.Engine(&stubClassifier{label: dataset.ClassDanger, delay: delay}),
+			sim.Day:  &stubModel{label: dataset.ClassSafe, delay: delay, gate: g},
+			sim.Rain: &stubModel{label: dataset.ClassDanger, delay: delay, gate: g},
+			sim.Snow: &stubModel{label: dataset.ClassDanger, delay: delay, gate: g},
 		}, nil
+	}
+}
+
+// waitSubmitted polls Stats until n requests have been admitted.
+func waitSubmitted(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Submitted < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d submissions (have %d)", n, s.Stats().Submitted)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -149,12 +191,17 @@ func TestSubmitValidation(t *testing.T) {
 // TestDynamicBatchingCoalesces checks that same-scene requests queued
 // behind a busy worker ride one batched forward pass.
 func TestDynamicBatchingCoalesces(t *testing.T) {
+	g := newGate()
 	s, err := New(Config{
-		Workers:      1,
-		MaxBatch:     4,
-		BatchLatency: 2 * time.Millisecond,
+		Workers:  1,
+		MaxBatch: 4,
+		// Only MaxBatch may seal the four queued requests: a short
+		// latency timer would seal whichever of them had arrived when
+		// it fired, and four goroutines need not start within a few
+		// milliseconds of each other on a loaded host.
+		BatchLatency: 10 * time.Second,
 		SLO:          10 * time.Second,
-	}, stubFactory(30*time.Millisecond))
+	}, gatedFactory(30*time.Millisecond, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +209,7 @@ func TestDynamicBatchingCoalesces(t *testing.T) {
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	// Occupy the single worker.
+	// Occupy the single worker: the gate holds its first pass.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -170,7 +217,7 @@ func TestDynamicBatchingCoalesces(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	time.Sleep(10 * time.Millisecond) // let it reach the worker
+	<-g.started
 
 	// Four more arrive while the worker is busy: MaxBatch seals them
 	// into one batch that runs as a single forward pass.
@@ -188,6 +235,8 @@ func TestDynamicBatchingCoalesces(t *testing.T) {
 			}
 		}()
 	}
+	waitSubmitted(t, s, 5)
+	close(g.release)
 	wg.Wait()
 
 	st := s.Stats()
@@ -503,6 +552,7 @@ func TestResidencySurvivesWithinBudget(t *testing.T) {
 // request must complete before any of the routine ones, and the
 // per-class queue-wait percentiles must reflect the ordering.
 func TestCriticalDispatchesBeforeRoutine(t *testing.T) {
+	g := newGate()
 	s, err := New(Config{
 		Workers:      1,
 		MaxBatch:     1,
@@ -510,7 +560,7 @@ func TestCriticalDispatchesBeforeRoutine(t *testing.T) {
 		QueueDepth:   64,
 		SLO:          10 * time.Second,
 		AgingBound:   10 * time.Second, // aging out of the way
-	}, stubFactory(20*time.Millisecond))
+	}, gatedFactory(20*time.Millisecond, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +575,7 @@ func TestCriticalDispatchesBeforeRoutine(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	time.Sleep(10 * time.Millisecond) // occupy the worker
+	<-g.started // the gate holds the worker busy
 
 	// While the worker is busy: 3 routine, then 3 critical. Despite
 	// arriving later, the critical ones must be served first.
@@ -545,11 +595,13 @@ func TestCriticalDispatchesBeforeRoutine(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		go submit(Routine)
 	}
-	time.Sleep(5 * time.Millisecond) // routine requests are queued first
+	waitSubmitted(t, s, 4) // routine requests are queued first
 	wg.Add(3)
 	for i := 0; i < 3; i++ {
 		go submit(Critical)
 	}
+	waitSubmitted(t, s, 7)
+	close(g.release)
 	wg.Wait()
 
 	if len(order) != 6 {

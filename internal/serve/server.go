@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"safecross/internal/infer"
 	"safecross/internal/sim"
 	"safecross/internal/telemetry"
 )
@@ -97,10 +96,6 @@ type Server struct {
 	scenes  map[sim.Weather]bool
 	workers []*worker
 
-	// pool shares eval workspaces across the worker goroutines; its
-	// hit/miss counters export through the server's registry.
-	pool *infer.Pool
-
 	// registry backs all activity counters and latency histograms —
 	// Config.Metrics when set, else a private registry — and metrics
 	// holds the resolved handles. tracer (optional) samples per-request
@@ -159,7 +154,6 @@ func New(cfg Config, factory ModelFactory) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		scenes:   make(map[sim.Weather]bool),
-		pool:     infer.NewPool(infer.WithMetrics(reg)),
 		registry: reg,
 		metrics:  newServeMetrics(reg),
 		tracer:   cfg.Tracer,
@@ -210,6 +204,11 @@ func (s *Server) Submit(ctx context.Context, req Request) (Verdict, error) {
 		return Verdict{}, fmt.Errorf("serve: no model for scene %v", req.Scene)
 	}
 	if err := ctx.Err(); err != nil {
+		// Admitted and cancelled at once, so the request still settles
+		// in exactly one outcome counter.
+		s.metrics.submitted.Inc()
+		s.scene[req.Scene].requests.Inc()
+		s.metrics.cancelled.Inc()
 		return Verdict{}, err
 	}
 	// The request's trace rides the context when the caller started
@@ -639,6 +638,13 @@ func (s *Server) schedule() {
 	// at MaxBatch always, and at the adaptive target when an idle
 	// worker is waiting.
 	admit := func() {
+		// Routing sees every worker that has posted its idle note. A
+		// worker posts it before delivering verdicts, so a caller that
+		// resubmits at once finds its warm worker free. Only this
+		// goroutine receives, so the receive cannot block.
+		for len(s.idleCh) > 0 {
+			idle = append(idle, <-s.idleCh)
+		}
 		adapt()
 		now := time.Now()
 		for _, p := range s.drainIntake() {
@@ -689,11 +695,11 @@ func (s *Server) schedule() {
 
 		case n := <-s.idleCh:
 			idle = append(idle, n)
-			// A worker just freed: re-derive the target from current
-			// depth and hand it any bucket that has already earned a
-			// batch, rather than stalling it on the latency timer.
-			adapt()
-			sealAtTarget()
+			// A worker just freed: take in everything submitted so far,
+			// re-derive the target from current depth, and hand it any
+			// bucket that has already earned a batch, rather than
+			// stalling it on the latency timer.
+			admit()
 			dispatch()
 			resetTimer()
 

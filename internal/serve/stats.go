@@ -48,10 +48,10 @@ type Stats struct {
 	// reached — the adaptation's high-water mark, stable after the
 	// backlog drains and the live target decays back toward 1.
 	BatchTarget, BatchTargetMax int
-	// WorkspaceHits and WorkspaceMisses are the shared inference
-	// pool's workspace Get counters: hits were served from pooled
-	// scratch, misses had to allocate. After warm-up misses plateau
-	// while hits keep growing.
+	// WorkspaceHits and WorkspaceMisses are the workers' workspace Get
+	// counters: hits were carved from a worker's scratch slab, misses
+	// outgrew it and allocated. Misses stop after each worker's first
+	// batch, which reserves its slab for MaxBatch.
 	WorkspaceHits, WorkspaceMisses int
 	// WarmBatches counts batches routed to a worker already holding
 	// the scene's model; Switches counts batches that triggered a

@@ -8,6 +8,7 @@ import (
 	"safecross/internal/dataset"
 	"safecross/internal/gpusim"
 	"safecross/internal/infer"
+	"safecross/internal/nn"
 	"safecross/internal/pipeswitch"
 	"safecross/internal/sim"
 	"safecross/internal/telemetry"
@@ -18,15 +19,21 @@ import (
 // every scene engine model, a simulated device with a finite memory
 // budget, and a PipeSwitch manager that owns model residency — loads,
 // LRU evictions, and reloads all land on the worker's virtual
-// timeline. Forward-pass scratch comes from the server's shared
-// infer.Pool, checked out per batch: a warm pool means a worker's
-// forward passes allocate nothing, keeping the heap inside the
-// WorkerMemory budget regardless of how long the server runs.
+// timeline. Forward-pass scratch comes from the worker's own
+// workspace, one slab for its whole life: after the first batch it is
+// reserved for a MaxBatch pass, so no later batch of any size
+// allocates scratch and the heap stays inside the WorkerMemory budget
+// however long the server runs.
 type worker struct {
 	id     int
 	ch     chan *batch
 	mgr    *pipeswitch.Manager
 	models map[sim.Weather]infer.Model
+
+	// ws is the worker's scratch slab; wsGets and wsMisses are its
+	// counters as last exported to the registry.
+	ws               *nn.Workspace
+	wsGets, wsMisses int
 
 	// virtualNow mirrors the device clock (nanoseconds) after each
 	// batch so Stats can read it without racing the worker.
@@ -71,6 +78,7 @@ func newWorker(id int, factory ModelFactory, memoryBytes int64, reg *telemetry.R
 		ch:     make(chan *batch, 1),
 		mgr:    mgr,
 		models: models,
+		ws:     nn.NewWorkspace(),
 	}, nil
 }
 
@@ -91,8 +99,29 @@ func (w *worker) run(s *Server) {
 	defer s.wg.Done()
 	for b := range w.ch {
 		w.serveBatch(s, b)
-		s.idleCh <- idleNote{worker: w.id, resident: w.residentScenes()}
 	}
+}
+
+// reportIdle tells the scheduler the worker is free. serveBatch calls
+// it once per batch, before delivering any outcome, so a caller that
+// resubmits as soon as its verdict arrives finds this worker — and the
+// model it holds — already free.
+func (w *worker) reportIdle(s *Server) {
+	s.idleCh <- idleNote{worker: w.id, resident: w.residentScenes()}
+}
+
+// syncWorkspace exports the workspace counters' growth since the last
+// batch and, after the worker's first batch of n clips, reserves the
+// slab for a MaxBatch pass. Scratch is linear in the batch for every
+// served stack, so no later batch size allocates; a stack that is not
+// linear grows the slab once more and is still correct.
+func (w *worker) syncWorkspace(s *Server, n int) {
+	if w.wsGets == 0 {
+		w.ws.Reserve((w.ws.Size() + n - 1) / n * s.cfg.MaxBatch)
+	}
+	s.metrics.wsHits.Add(int64((w.ws.Gets - w.wsGets) - (w.ws.Misses - w.wsMisses)))
+	s.metrics.wsMisses.Add(int64(w.ws.Misses - w.wsMisses))
+	w.wsGets, w.wsMisses = w.ws.Gets, w.ws.Misses
 }
 
 // serveBatch activates the batch's scene model (a PipeSwitch load —
@@ -111,10 +140,9 @@ func (w *worker) serveBatch(s *Server, b *batch) {
 	for i, p := range b.reqs {
 		clips[i] = p.req.Clip
 	}
-	ws := s.pool.Get()
-	labels, err := infer.PredictBatch(w.models[b.scene], clips, ws)
-	s.pool.Put(ws)
+	labels, err := infer.PredictBatch(w.models[b.scene], clips, w.ws)
 	computeWall := time.Since(switchEnd)
+	w.syncWorkspace(s, len(clips))
 	if err != nil {
 		w.failBatch(s, b, fmt.Errorf("serve: classify %v batch: %w", b.scene, err))
 		return
@@ -138,6 +166,7 @@ func (w *worker) serveBatch(s *Server, b *batch) {
 	// Submit return is then guaranteed to see its request in Stats.
 	now := time.Now()
 	s.recordBatch(b, rep, computeWall, now)
+	w.reportIdle(s)
 	for i, p := range b.reqs {
 		t := Timing{
 			Queue:          p.bucketed.Sub(p.submitted),
@@ -172,8 +201,10 @@ func (w *worker) serveBatch(s *Server, b *batch) {
 	}
 }
 
-// failBatch rejects every request in a batch with the same error.
+// failBatch reports the worker idle and rejects every request in the
+// batch with the same error.
 func (w *worker) failBatch(s *Server, b *batch, err error) {
+	w.reportIdle(s)
 	for _, p := range b.reqs {
 		s.reject(p, err)
 	}

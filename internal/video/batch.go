@@ -9,32 +9,9 @@ import (
 	"safecross/internal/tensor"
 )
 
-// BatchForwarder is the classifier half of the engine contract: a
-// native batched forward pass. SlowFast, C3D, and TSN implement it
-// (one im2col + one matmul per conv layer for N clips); together with
-// Name and SetTrain from Classifier it makes them infer.Model
-// implementations, so Engine passes them straight to the unified
-// inference engine.
-type BatchForwarder interface {
-	// ForwardBatch maps n [1,T,H,W] clips to n rank-1 logit tensors,
-	// bit-identical to calling the eval-mode Forward per clip. Scratch
-	// buffers come from ws, which must be owned by the calling
-	// goroutine; the returned logits are fresh tensors that stay valid
-	// after the workspace is reset or reused.
-	ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error)
-}
-
-// Engine lifts a Classifier to the unified engine contract
-// (infer.Model). Batch-native classifiers pass through unchanged;
-// Forward-only classifiers are driven clip by clip behind the same
-// contract, which still amortises the per-batch costs above the model
-// (model switching, simulated kernel launches, dispatch).
-func Engine(c Classifier) infer.Model {
-	if m, ok := c.(infer.Model); ok {
-		return m
-	}
-	return infer.Sequentialize(c)
-}
+// Engine returns a Classifier as the unified engine contract
+// (infer.Model): every Classifier already is one.
+func Engine(c Classifier) infer.Model { return c }
 
 // validateClips checks the whole batch up front: every clip must be a
 // rank-4 [1,T,H,W] tensor and all clips must share one shape, so a
@@ -85,7 +62,7 @@ func PredictBatch(m Classifier, clips []*tensor.Tensor, ws *nn.Workspace) ([]int
 	if err := validateClips(clips); err != nil {
 		return nil, err
 	}
-	return infer.PredictBatch(Engine(m), clips, ws)
+	return infer.PredictBatch(m, clips, ws)
 }
 
 // splitLogits copies an [N,Classes] batched logit matrix into n fresh

@@ -66,14 +66,10 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bf, ok := m.(BatchForwarder)
-			if !ok {
-				t.Fatalf("%s does not implement BatchForwarder", name)
-			}
 			m.SetTrain(false)
 			clips := batchClips(5)
 			ws := nn.NewWorkspace()
-			batched, err := bf.ForwardBatch(clips, ws)
+			batched, err := m.ForwardBatch(clips, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +97,8 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 
 // TestForwardBatchReusesWorkspace proves the steady-state allocation
 // contract: after a warm-up batch, further batches of the same shape
-// take every scratch buffer from the pool (Misses stops growing).
+// take every scratch buffer from the workspace slab (Misses stops
+// growing).
 func TestForwardBatchReusesWorkspace(t *testing.T) {
 	for name, builder := range batchBuilders(37) {
 		t.Run(name, func(t *testing.T) {
@@ -109,16 +106,15 @@ func TestForwardBatchReusesWorkspace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bf := m.(BatchForwarder)
 			m.SetTrain(false)
 			clips := batchClips(3)
 			ws := nn.NewWorkspace()
-			if _, err := bf.ForwardBatch(clips, ws); err != nil {
+			if _, err := m.ForwardBatch(clips, ws); err != nil {
 				t.Fatal(err)
 			}
 			warm := ws.Misses
 			for i := 0; i < 3; i++ {
-				if _, err := bf.ForwardBatch(clips, ws); err != nil {
+				if _, err := m.ForwardBatch(clips, ws); err != nil {
 					t.Fatal(err)
 				}
 			}

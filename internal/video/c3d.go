@@ -21,10 +21,7 @@ type C3D struct {
 	net *nn.Sequential
 }
 
-var (
-	_ Classifier     = (*C3D)(nil)
-	_ BatchForwarder = (*C3D)(nil)
-)
+var _ Classifier = (*C3D)(nil)
 
 // NewC3D builds a C3D classifier for the given clip geometry (the T,
 // H, W, Classes, Seed fields of the shared config are used).

@@ -25,6 +25,14 @@ type Classifier interface {
 	Params() []*nn.Param
 	// SetTrain toggles training-time behaviour (dropout etc.).
 	SetTrain(train bool)
+	// ForwardBatch maps n [1,T,H,W] clips to n rank-1 logit tensors,
+	// bit-identical to calling the eval-mode Forward per clip, in one
+	// pass (one im2col + one matmul per conv layer for the batch).
+	// Scratch comes from ws, which must be owned by the calling
+	// goroutine; the returned logits are fresh tensors that stay valid
+	// after the workspace is reset or reused. With Name and SetTrain
+	// it makes every Classifier an infer.Model.
+	ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error)
 }
 
 // Builder constructs a fresh, randomly initialised classifier. MAML

@@ -59,10 +59,7 @@ type SlowFast struct {
 	cacheFastOut *tensor.Tensor
 }
 
-var (
-	_ Classifier     = (*SlowFast)(nil)
-	_ BatchForwarder = (*SlowFast)(nil)
-)
+var _ Classifier = (*SlowFast)(nil)
 
 // Channel widths of the two pathways. The β=1/4 fast/slow channel
 // ratio mirrors the paper's lightweight fast pathway.

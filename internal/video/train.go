@@ -194,7 +194,7 @@ func Evaluate(m Classifier, clips []*dataset.Clip) (*nn.ConfusionMatrix, error) 
 
 // EvaluateWS is Evaluate with caller-owned scratch: a long-lived
 // caller (the few-shot eval loop, a benchmark) passing the same
-// workspace keeps the whole evaluation allocation-pooled. Runs of
+// workspace keeps the whole evaluation's scratch allocation-free. Runs of
 // equally-shaped clips share one batched forward (up to evalChunk per
 // batch); a shape change just starts a new chunk. A nil ws is replaced
 // by a throwaway workspace.
@@ -251,7 +251,7 @@ func Predict(m Classifier, input *tensor.Tensor) (int, error) {
 }
 
 // PredictWS is Predict with caller-owned scratch, for callers that
-// classify clip after clip and want the pooled steady state (the
+// classify clip after clip and want the allocation-free steady state (the
 // Framework's per-frame path, throughput studies).
 func PredictWS(m Classifier, input *tensor.Tensor, ws *nn.Workspace) (int, error) {
 	labels, err := PredictBatch(m, []*tensor.Tensor{input}, ws)

@@ -23,10 +23,7 @@ type TSN struct {
 	cacheIdx []int
 }
 
-var (
-	_ Classifier     = (*TSN)(nil)
-	_ BatchForwarder = (*TSN)(nil)
-)
+var _ Classifier = (*TSN)(nil)
 
 // tsnSnippets is the paper's 1x1x3 sampling: three snippets per clip.
 const tsnSnippets = 3
