@@ -21,8 +21,13 @@ staticcheck:
 test:
 	$(GO) test ./...
 
+# race runs the benchmark package's race tests on their own, after
+# every other package's: its smoke runs an open-loop load generator
+# with a 1 ms lateness gate, which a 2-CPU host cannot hold while the
+# other packages' race-instrumented tests share the CPUs.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '^safecross/benchmark$$')
+	$(GO) test -race ./benchmark/
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -70,7 +70,7 @@ func run(args []string, w io.Writer) error {
 		workerMem     = fs.Int("worker-mem", 0, "per-GPU memory budget in MiB (0 = device default; small budgets force LRU model eviction)")
 		demo          = fs.Bool("demo", false, "attach an in-process vehicle client and print advisories")
 		verbose       = fs.Bool("v", false, "log training progress and runtime events")
-		debugAddr     = fs.String("debug-addr", "", "optional debug HTTP listener (Prometheus /metrics, /metrics.json, /metrics.fed, /traces, expvar, pprof)")
+		debugAddr     = fs.String("debug-addr", "", "optional debug HTTP listener (Prometheus /metrics, /metrics.fed, /traces, expvar, pprof)")
 		traceSample   = fs.Int("trace-sample", 8, "frame-trace sampling rate: one in N frames rides a full trace (queue → batch-wait → switch → compute → deliver → broadcast) into the /traces retention ring; the decision is derived from the minted trace id, so every process carrying the id agrees on it; 0 disables tracing")
 		sloWindow     = fs.Duration("slo-window", 5*time.Minute, "SLO burn-rate short window (the long window is 12x); shrink it to make smoke runs exercise alerts")
 		sloQueueObj   = fs.Duration("slo-queue-objective", 250*time.Millisecond, "serve queue-wait latency objective (p99 must stay under it)")

@@ -225,14 +225,14 @@ func TestObsSmoke(t *testing.T) {
 	}
 
 	// The JSON snapshot must agree that work completed.
-	body, err = scrape(base, "/metrics.json")
+	body, err = scrape(base, "/metrics.fed")
 	if err == nil {
-		var snap map[string]any
+		var snap telemetry.FedSnapshot
 		if jerr := json.Unmarshal([]byte(body), &snap); jerr != nil {
-			t.Fatalf("/metrics.json not JSON: %v", jerr)
+			t.Fatalf("/metrics.fed not JSON: %v", jerr)
 		}
-		if v, ok := snap["serve_completed_total"].(float64); !ok || v <= 0 {
-			t.Fatalf("snapshot shows no completed requests: %v", snap["serve_completed_total"])
+		if v := snap.Values["serve_completed_total"]; v <= 0 {
+			t.Fatalf("snapshot shows no completed requests: %v", v)
 		}
 	}
 

@@ -1,16 +1,12 @@
 package detect
 
-// Engine-contract coverage for the detector: the workspace and batch
-// eval forwards must be bit-identical (==, not approximately equal) to
-// the allocating reference Forward, and the Presence adapter's argmax
-// decoding must agree exactly with the detector's threshold test.
+// The workspace eval forward must be bit-identical (==, not
+// approximately equal) to the allocating reference Forward, one frame
+// at a time and on a channel-major frame batch.
 
 import (
-	"math"
 	"testing"
 
-	"safecross/internal/dataset"
-	"safecross/internal/infer"
 	"safecross/internal/nn"
 	"safecross/internal/tensor"
 	"safecross/internal/vision"
@@ -57,81 +53,41 @@ func TestYoliteForwardVariantsBitIdentical(t *testing.T) {
 		ws.Reset()
 	}
 
-	batched, err := d.ForwardBatch(xs, ws)
+	h, w := frames[0].H, frames[0].W
+	stacked := tensor.New(1, len(xs), h, w)
+	for i, x := range xs {
+		copy(stacked.Data[i*h*w:], x.Data)
+	}
+	batched, err := d.ForwardWS(stacked, ws) // [1,N,GH,GW]
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batched) != len(xs) {
-		t.Fatalf("ForwardBatch returned %d maps for %d frames", len(batched), len(xs))
+	cells := len(refs[0].Data)
+	if len(batched.Data) != len(xs)*cells {
+		t.Fatalf("batched ForwardWS shape %v for %d frames of %d cells", batched.Shape, len(xs), cells)
 	}
-	for i, got := range batched {
-		for j := range got.Data {
-			if got.Data[j] != refs[i].Data[j] {
-				t.Fatalf("frame %d cell %d: ForwardBatch %v != Forward %v",
-					i, j, got.Data[j], refs[i].Data[j])
+	for i, ref := range refs {
+		for j, want := range ref.Data {
+			if got := batched.Data[i*cells+j]; got != want {
+				t.Fatalf("frame %d cell %d: batched ForwardWS %v != Forward %v", i, j, got, want)
 			}
 		}
 	}
 }
 
+// TestYoliteForwardBatchRejectsBadFrames: the workspace forward, on a
+// single frame or a channel-major batch, rejects anything that is not
+// single-channel instead of scoring it.
 func TestYoliteForwardBatchRejectsBadFrames(t *testing.T) {
 	d := trainedYolite(t)
 	ws := nn.NewWorkspace()
-	if _, err := d.ForwardBatch([]*tensor.Tensor{tensor.New(2, 8, 8)}, ws); err == nil {
+	if _, err := d.ForwardWS(tensor.New(2, 8, 8), ws); err == nil {
 		t.Fatal("expected shape error for a 2-channel frame")
 	}
-	if _, err := d.ForwardBatch([]*tensor.Tensor{tensor.New(8, 8)}, ws); err == nil {
+	if _, err := d.ForwardWS(tensor.New(8, 8), ws); err == nil {
 		t.Fatal("expected shape error for a rank-2 frame")
 	}
-}
-
-// TestPresenceMatchesDetectorThreshold drives the detector through the
-// unified engine exactly the way a serve worker would, and checks the
-// decoded labels equal the detector's own peak-vs-threshold test.
-func TestPresenceMatchesDetectorThreshold(t *testing.T) {
-	d := trainedYolite(t)
-	scene := canonical(t)
-
-	// A clean bright vehicle the detector finds, plus raw scene frames.
-	bright := vision.NewImage(scene.Frames[0].W, scene.Frames[0].H)
-	bright.Fill(0.33)
-	bright.FillRect(20, 12, 38, 20, 0.9)
-	frames := append([]*vision.Image{bright}, scene.Frames[:3]...)
-
-	xs := make([]*tensor.Tensor, len(frames))
-	want := make([]int, len(frames))
-	for i, im := range frames {
-		xs[i] = frameTensor(im)
-		logits, err := d.Forward(xs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		peak := math.Inf(-1)
-		for _, z := range logits.Data {
-			if z > peak {
-				peak = z
-			}
-		}
-		want[i] = dataset.ClassSafe
-		if 1/(1+math.Exp(-peak)) >= d.Threshold {
-			want[i] = dataset.ClassDanger
-		}
-	}
-
-	labels, err := infer.PredictBatch(NewPresence(d), xs, nn.NewWorkspace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawDanger := false
-	for i, got := range labels {
-		if got != want[i] {
-			t.Fatalf("frame %d: presence label %d, detector threshold says %d", i, got, want[i])
-		}
-		if got == dataset.ClassDanger {
-			sawDanger = true
-		}
-	}
-	if !sawDanger {
-		t.Fatal("the bright near-field vehicle must decode as danger")
+	if _, err := d.ForwardWS(tensor.New(2, 3, 8, 8), ws); err == nil {
+		t.Fatal("expected shape error for a 2-channel frame batch")
 	}
 }

@@ -117,39 +117,6 @@ func (d *Yolite) ForwardWS(x *tensor.Tensor, ws *nn.Workspace) (*tensor.Tensor, 
 	return logits, nil
 }
 
-// ForwardBatch implements the unified engine contract (infer.Model):
-// n [1,H,W] frames ride one stacked [1,N,H,W] pass — one im2col + one
-// matmul per conv layer — and come back as n fresh [1,GH,GW] cell-
-// logit tensors, bit-identical to Forward per frame.
-func (d *Yolite) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {
-	defer ws.Reset()
-	for i, f := range xs {
-		if f.Rank() != 3 || f.Shape[0] != 1 {
-			return nil, fmt.Errorf("detect: frame %d has shape %v, want [1,H,W]", i, f.Shape)
-		}
-	}
-	n := len(xs)
-	h, w := xs[0].Shape[1], xs[0].Shape[2]
-	x := ws.Get(1, n, h, w)
-	vol := h * w
-	for i, f := range xs {
-		copy(x.Data[i*vol:(i+1)*vol], f.Data)
-	}
-	batched, err := d.ForwardWS(x, ws) // [1,N,GH,GW]
-	if err != nil {
-		return nil, err
-	}
-	gh, gw := batched.Shape[2], batched.Shape[3]
-	cells := gh * gw
-	out := make([]*tensor.Tensor, n)
-	for i := range out {
-		l := tensor.New(1, gh, gw)
-		copy(l.Data, batched.Data[i*cells:(i+1)*cells])
-		out[i] = l
-	}
-	return out, nil
-}
-
 // ScoreMapWS scores one frame through the workspace eval path: the frame
 // copy, every conv scratch buffer, and the sigmoid objectness map all
 // land in ws, so a warm caller's per-frame score path allocates

@@ -14,18 +14,12 @@ import (
 	"safecross/internal/telemetry"
 )
 
-// AgentConfig wires one node agent. Construction normally goes
-// through NewAgent with options; the struct remains for the
-// deprecated NewAgentFromConfig path.
+// AgentConfig wires one node agent. NewAgent fills it from its
+// options.
 type AgentConfig struct {
 	// ID is the node's stable fleet identity (must be non-empty and
 	// unique across the fleet — it is the rendezvous hashing input).
 	ID string
-	// Coordinator is a single control-plane address to register with.
-	//
-	// Deprecated: use Coordinators (the agent treats this field as a
-	// one-element seed list).
-	Coordinator string
 	// Coordinators is the coordinator seed list. The agent sweeps it
 	// until a primary accepts the registration, and follows promote
 	// redirects to whichever seed currently leads.
@@ -41,8 +35,6 @@ type AgentConfig struct {
 	// Timings must match the coordinator's clock (only HeartbeatEvery
 	// and SuspectAfter are used on the agent side).
 	Timings Timings
-	// DialTimeout bounds each coordinator dial (default 2s).
-	DialTimeout time.Duration
 	// Runner serves each owned intersection (nil: routing state only).
 	Runner Runner
 	// Metrics receives the agent's series (nil keeps a private
@@ -104,23 +96,9 @@ func NewAgent(id string, srv *rsu.Server, opts ...AgentOption) (*Agent, error) {
 	return newAgent(cfg, srv)
 }
 
-// NewAgentFromConfig is the Config-struct construction path.
-//
-// Deprecated: use NewAgent with options (WithCoordinators,
-// WithRunner, WithMetrics, WithHeartbeat, …).
-func NewAgentFromConfig(cfg AgentConfig, srv *rsu.Server, runner Runner) (*Agent, error) {
-	if runner != nil {
-		cfg.Runner = runner
-	}
-	return newAgent(cfg, srv)
-}
-
 func newAgent(cfg AgentConfig, srv *rsu.Server) (*Agent, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("fleet: agent needs an ID")
-	}
-	if len(cfg.Coordinators) == 0 && cfg.Coordinator != "" {
-		cfg.Coordinators = []string{cfg.Coordinator}
 	}
 	if len(cfg.Coordinators) == 0 {
 		return nil, fmt.Errorf("fleet: agent needs at least one coordinator address")
@@ -131,9 +109,6 @@ func newAgent(cfg AgentConfig, srv *rsu.Server) (*Agent, error) {
 	cfg.Timings = cfg.Timings.withDefaults()
 	if err := cfg.Timings.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
 	}
 	if cfg.Advertise == "" {
 		cfg.Advertise = srv.Addr()
@@ -237,7 +212,7 @@ func (a *Agent) loop() {
 		}
 		connected := false
 		for _, addr := range a.candidates() {
-			conn, err := net.DialTimeout("tcp", addr, a.cfg.DialTimeout)
+			conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 			if err != nil {
 				a.log.Debugf("fleet: node %q cannot reach coordinator %s: %v", a.cfg.ID, addr, err)
 				continue
@@ -365,7 +340,7 @@ func (a *Agent) sendHeartbeat() error {
 	msg.DebugAddr = a.cfg.DebugAddr
 	a.sendMu.Lock()
 	defer a.sendMu.Unlock()
-	_ = conn.SetWriteDeadline(time.Now().Add(a.cfg.DialTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(dialTimeout))
 	if err := enc.Encode(msg); err != nil {
 		return err
 	}

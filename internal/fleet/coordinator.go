@@ -16,9 +16,8 @@ import (
 	"safecross/internal/telemetry"
 )
 
-// Config sizes a Coordinator. Construction normally goes through
-// NewCoordinator with options; the struct remains for the deprecated
-// NewCoordinatorFromConfig path.
+// Config sizes a Coordinator. NewCoordinator fills it from its
+// options.
 type Config struct {
 	// Intersections are the shard keys the fleet must keep served.
 	// Required for a primary; a standby learns the key set from the
@@ -26,10 +25,6 @@ type Config struct {
 	Intersections []int
 	// Timings is the failure-detection clock.
 	Timings Timings
-	// PushTimeout bounds each assignment/ack/replicate write (default
-	// 2s); a peer that cannot be written to is left to the heartbeat
-	// detector.
-	PushTimeout time.Duration
 	// Standbys are the standby coordinator addresses a primary
 	// replicates its state to.
 	Standbys []string
@@ -140,14 +135,6 @@ func NewCoordinator(addr string, opts ...CoordinatorOption) (*Coordinator, error
 	return newCoordinator(addr, cfg)
 }
 
-// NewCoordinatorFromConfig is the Config-struct construction path.
-//
-// Deprecated: use NewCoordinator with options (WithIntersections,
-// WithMetrics, WithHeartbeat, WithStandbys, AsStandby, …).
-func NewCoordinatorFromConfig(addr string, cfg Config) (*Coordinator, error) {
-	return newCoordinator(addr, cfg)
-}
-
 func newCoordinator(addr string, cfg Config) (*Coordinator, error) {
 	if cfg.Standby && len(cfg.Standbys) > 0 {
 		return nil, fmt.Errorf("fleet: a standby coordinator cannot own standbys")
@@ -168,9 +155,6 @@ func newCoordinator(addr string, cfg Config) (*Coordinator, error) {
 	cfg.Timings = cfg.Timings.withDefaults()
 	if err := cfg.Timings.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.PushTimeout <= 0 {
-		cfg.PushTimeout = 2 * time.Second
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -517,7 +501,7 @@ func (c *Coordinator) handleNode(conn net.Conn) {
 		if first && msg.Type == rsu.TypeVote {
 			// A candidate standby asking whether we also find the
 			// primary silent: one ballot, one reply, done.
-			_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.PushTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(pushTimeout))
 			_ = enc.Encode(c.onVoteRequest(msg))
 			return
 		}
@@ -528,7 +512,7 @@ func (c *Coordinator) handleNode(conn net.Conn) {
 		}
 		if redirect, standby := c.standbyRedirect(); standby {
 			if redirect.Type != "" {
-				_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.PushTimeout))
+				_ = conn.SetWriteDeadline(time.Now().Add(pushTimeout))
 				_ = enc.Encode(redirect)
 			}
 			return
@@ -713,7 +697,7 @@ func (c *Coordinator) send(m *member, msg rsu.Message) {
 	}
 	m.sendMu.Lock()
 	defer m.sendMu.Unlock()
-	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.PushTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(pushTimeout))
 	if err := enc.Encode(msg); err != nil {
 		c.reg.Counter(fmt.Sprintf("fleet_push_errors_total{peer=%q}", m.id),
 			"control-plane pushes that failed to write").Inc()

@@ -41,6 +41,16 @@ import (
 	"safecross/internal/telemetry"
 )
 
+const (
+	// pushTimeout bounds each coordinator write (assignment, ack,
+	// replicate, vote) and each dial to a standby peer; a peer that
+	// cannot be written to is left to the heartbeat detector.
+	pushTimeout = 2 * time.Second
+	// dialTimeout bounds each agent dial to a coordinator seed and
+	// each agent control write.
+	dialTimeout = 2 * time.Second
+)
+
 // NodeState is the coordinator's liveness verdict for one node.
 type NodeState int
 

@@ -96,12 +96,6 @@ func AsStandby() CoordinatorOption {
 	return coordOption(func(c *Config) { c.Standby = true })
 }
 
-// WithPushTimeout bounds each control-plane write to a node or
-// standby (default 2s).
-func WithPushTimeout(d time.Duration) CoordinatorOption {
-	return coordOption(func(c *Config) { c.PushTimeout = d })
-}
-
 // WithDataDir makes the coordinator durable: every committed state
 // change (membership, assignment, seeds, term/epoch) is appended to a
 // write-ahead log under dir and replayed on start, so a full
@@ -147,9 +141,4 @@ func WithDebugAddr(addr string) AgentOption {
 // routing state.
 func WithRunner(r Runner) AgentOption {
 	return agentOption(func(a *AgentConfig) { a.Runner = r })
-}
-
-// WithDialTimeout bounds each coordinator dial (default 2s).
-func WithDialTimeout(d time.Duration) AgentOption {
-	return agentOption(func(a *AgentConfig) { a.DialTimeout = d })
 }

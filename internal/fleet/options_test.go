@@ -3,107 +3,75 @@ package fleet
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"safecross/internal/rsu"
 	"safecross/internal/telemetry"
 )
 
-// TestCoordinatorOptionsShimEquivalence builds one coordinator
-// through the options API and one through the deprecated Config shim
-// with the same settings, and checks the two paths normalise to the
-// same configuration and birth state.
-func TestCoordinatorOptionsShimEquivalence(t *testing.T) {
+// TestCoordinatorOptionsLandInConfig checks that each coordinator
+// option reaches the normalised configuration and that a primary is
+// born as RolePrimary at term 1 with its own address heading the seed
+// list.
+func TestCoordinatorOptionsLandInConfig(t *testing.T) {
 	keys := []int{1, 2, 3}
 	tt := testTimings()
 	reg := telemetry.NewRegistry()
 	log := telemetry.NewLogger(nil, telemetry.LevelWarn)
 
-	viaOpts, err := NewCoordinator("127.0.0.1:0",
+	coord, err := NewCoordinator("127.0.0.1:0",
 		WithIntersections(keys...),
 		WithHeartbeat(tt.HeartbeatEvery, tt.SuspectAfter, tt.DeadAfter),
-		WithPushTimeout(time.Second),
 		WithMetrics(reg),
 		WithLogger(log))
 	if err != nil {
-		t.Fatalf("options path: %v", err)
+		t.Fatalf("NewCoordinator: %v", err)
 	}
-	defer viaOpts.Close()
-	viaCfg, err := NewCoordinatorFromConfig("127.0.0.1:0", Config{
-		Intersections: keys,
-		Timings:       tt,
-		PushTimeout:   time.Second,
-		Metrics:       reg,
-		Logger:        log,
-	})
-	if err != nil {
-		t.Fatalf("config shim path: %v", err)
-	}
-	defer viaCfg.Close()
+	defer coord.Close()
 
-	// Blank the per-instance bindings (the shared registry and logger
-	// pointers are identical by construction); everything else the two
-	// normalised configs hold must match exactly.
-	a, b := viaOpts.cfg, viaCfg.cfg
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("normalised configs differ:\noptions: %+v\nshim:    %+v", a, b)
+	want := Config{Intersections: keys, Timings: tt, Metrics: reg, Logger: log}
+	if !reflect.DeepEqual(coord.cfg, want) {
+		t.Fatalf("normalised config:\n got  %+v\n want %+v", coord.cfg, want)
 	}
-	if viaOpts.Role() != viaCfg.Role() || viaOpts.Term() != viaCfg.Term() || viaOpts.Epoch() != viaCfg.Epoch() {
-		t.Fatalf("birth state differs: (%v,%d,%d) vs (%v,%d,%d)",
-			viaOpts.Role(), viaOpts.Term(), viaOpts.Epoch(),
-			viaCfg.Role(), viaCfg.Term(), viaCfg.Epoch())
+	if coord.Role() != RolePrimary || coord.Term() != 1 {
+		t.Fatalf("birth primary at role %v term %d; want primary term 1", coord.Role(), coord.Term())
 	}
-	if viaOpts.Role() != RolePrimary || viaOpts.Term() != 1 {
-		t.Fatalf("birth primary at role %v term %d; want primary term 1", viaOpts.Role(), viaOpts.Term())
+	coord.mu.Lock()
+	seeds := append([]string(nil), coord.seeds...)
+	coord.mu.Unlock()
+	if len(seeds) != 1 || seeds[0] != coord.Addr() {
+		t.Fatalf("seed list = %v; want [%s]", seeds, coord.Addr())
 	}
 }
 
-// TestAgentOptionsShimEquivalence does the same for agents, including
-// the deprecated single-address Coordinator field being folded into
-// the seed list.
-func TestAgentOptionsShimEquivalence(t *testing.T) {
+// TestAgentOptionsLandInConfig does the same for agents: the seed
+// list, advertised address, timings and metrics registry.
+func TestAgentOptionsLandInConfig(t *testing.T) {
 	tt := testTimings()
 	reg := telemetry.NewRegistry()
-	srv1, err := rsu.Listen("127.0.0.1:0")
+	srv, err := rsu.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv1.Close()
-	srv2, err := rsu.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
+	defer srv.Close()
 
-	viaOpts, err := NewAgent("n1", srv1,
+	agent, err := NewAgent("n1", srv,
 		WithCoordinators("127.0.0.1:9"),
 		WithHeartbeat(tt.HeartbeatEvery, tt.SuspectAfter, tt.DeadAfter),
-		WithDialTimeout(time.Second),
 		WithAdvertise("adv:1"),
 		WithMetrics(reg))
 	if err != nil {
-		t.Fatalf("options path: %v", err)
+		t.Fatalf("NewAgent: %v", err)
 	}
-	defer viaOpts.Close()
-	viaCfg, err := NewAgentFromConfig(AgentConfig{
-		ID:          "n1",
-		Coordinator: "127.0.0.1:9", // legacy single address → one-element seed list
-		Advertise:   "adv:1",
-		Timings:     tt,
-		DialTimeout: time.Second,
-		Metrics:     reg,
-	}, srv2, nil)
-	if err != nil {
-		t.Fatalf("config shim path: %v", err)
-	}
-	defer viaCfg.Close()
+	defer agent.Close()
 
-	a, b := viaOpts.cfg, viaCfg.cfg
-	b.Coordinator = "" // the shim keeps the legacy field it was fed; seed lists must match
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("normalised configs differ:\noptions: %+v\nshim:    %+v", a, b)
+	want := AgentConfig{
+		ID:           "n1",
+		Coordinators: []string{"127.0.0.1:9"},
+		Advertise:    "adv:1",
+		Timings:      tt,
+		Metrics:      reg,
 	}
-	if len(a.Coordinators) != 1 || a.Coordinators[0] != "127.0.0.1:9" {
-		t.Fatalf("seed list = %v; want the single legacy address", a.Coordinators)
+	if !reflect.DeepEqual(agent.cfg, want) {
+		t.Fatalf("normalised config:\n got  %+v\n want %+v", agent.cfg, want)
 	}
 }

@@ -123,12 +123,12 @@ func (c *Coordinator) runElection(term, epoch int64, seeds []string) {
 // timeout. Any failure — unreachable peer, malformed reply, denial —
 // is a missing vote, never a granted one.
 func (c *Coordinator) requestVote(peer string, term, epoch int64) bool {
-	conn, err := net.DialTimeout("tcp", peer, c.cfg.PushTimeout)
+	conn, err := net.DialTimeout("tcp", peer, pushTimeout)
 	if err != nil {
 		return false
 	}
 	defer func() { _ = conn.Close() }()
-	_ = conn.SetDeadline(time.Now().Add(c.cfg.PushTimeout))
+	_ = conn.SetDeadline(time.Now().Add(pushTimeout))
 	if err := json.NewEncoder(conn).Encode(rsu.VoteMessage(c.Addr(), term, epoch)); err != nil {
 		return false
 	}

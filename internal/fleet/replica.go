@@ -126,7 +126,7 @@ func (c *Coordinator) replicator(peer string, stop chan struct{}) {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", peer, c.cfg.PushTimeout)
+		conn, err := net.DialTimeout("tcp", peer, pushTimeout)
 		if err != nil {
 			c.log.Debugf("fleet: cannot reach standby %s: %v", peer, err)
 			select {
@@ -190,7 +190,7 @@ func (c *Coordinator) replicateStream(peer string, conn net.Conn, stop chan stru
 			pending = time.Now()
 		}
 		mu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.PushTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(pushTimeout))
 		if err := enc.Encode(msg); err != nil {
 			pushErr.Inc()
 			c.log.Debugf("fleet: replicate to %s failed: %v", peer, err)
@@ -252,7 +252,7 @@ func (c *Coordinator) replicaSession(conn net.Conn, dec *json.Decoder, enc *json
 	for {
 		reply, drop := c.onReplicate(msg)
 		if reply.Type != "" {
-			_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.PushTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(pushTimeout))
 			if err := enc.Encode(reply); err != nil {
 				return
 			}

@@ -1,13 +1,13 @@
-// Package infer is the unified inference engine every model stack
-// serves through: video classifiers (SlowFast/C3D/TSN), the yolite
-// grid detector, and MAML-adapted few-shot models all implement one
-// contract — Model — and all eval-path scratch memory comes from the
-// caller's nn.Workspace. A serving worker owns one workspace for its
-// whole life (see internal/serve).
+// Package infer is the inference engine the serving plane runs
+// models through: the video classifiers (SlowFast/C3D/TSN), and the
+// MAML-adapted few-shot models built on them, implement one contract —
+// Model — and all eval-path scratch memory comes from the caller's
+// nn.Workspace. A serving worker owns one workspace for its whole life
+// (see internal/serve).
 //
-// The engine owns the pieces that used to be duplicated per stack:
-// uniform batch validation, eval-mode switching, batched forward
-// dispatch, and argmax decoding. A stack only provides ForwardBatch.
+// The engine owns uniform batch validation, eval-mode switching,
+// batched forward dispatch, and argmax decoding. A model only provides
+// ForwardBatch.
 package infer
 
 import (
@@ -17,9 +17,9 @@ import (
 	"safecross/internal/tensor"
 )
 
-// Model is the engine contract. Every served stack implements it, so
-// the serving plane dispatches detector and classifier workloads from
-// the same worker pool without knowing which is which.
+// Model is the engine contract. Every served model implements it, so
+// the serving plane dispatches any scene's model from the same worker
+// pool without knowing its architecture.
 type Model interface {
 	// Name identifies the model in errors and metrics.
 	Name() string
@@ -81,13 +81,4 @@ func PredictBatch(m Model, xs []*tensor.Tensor, ws *nn.Workspace) ([]int, error)
 		labels[i] = nn.Predict(l)
 	}
 	return labels, nil
-}
-
-// Predict is the single-input case of PredictBatch.
-func Predict(m Model, x *tensor.Tensor, ws *nn.Workspace) (int, error) {
-	labels, err := PredictBatch(m, []*tensor.Tensor{x}, ws)
-	if err != nil {
-		return 0, err
-	}
-	return labels[0], nil
 }

@@ -90,13 +90,3 @@ func TestPredictBatchValidation(t *testing.T) {
 		t.Fatal("expected forward error")
 	}
 }
-
-func TestPredictSingle(t *testing.T) {
-	label, err := Predict(&argmaxModel{}, input(0, 7), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if label != 1 {
-		t.Fatalf("label = %d, want 1", label)
-	}
-}

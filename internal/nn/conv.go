@@ -383,148 +383,6 @@ func (c *Conv3D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, err
 // Params returns the weight and bias parameters.
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// MaxPool2D is a 2-D max pooling layer over [C,H,W] inputs.
-type MaxPool2D struct {
-	// K and S are the square kernel size and stride.
-	K, S int
-
-	cacheArg     []int
-	cacheInShape [3]int
-}
-
-var _ Layer = (*MaxPool2D)(nil)
-
-// NewMaxPool2D creates a max-pool layer with kernel k and stride s.
-func NewMaxPool2D(k, s int) *MaxPool2D { return &MaxPool2D{K: k, S: s} }
-
-// Forward pools each channel plane, remembering argmax positions.
-func (m *MaxPool2D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("maxpool2d: input shape %v, want [C,H,W]", x.Shape)
-	}
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh := tensor.ConvOutSize(h, m.K, m.S, 0)
-	ow := tensor.ConvOutSize(w, m.K, m.S, 0)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("maxpool2d: kernel %d too large for input %v", m.K, x.Shape)
-	}
-	out := tensor.New(c, oh, ow)
-	if cap(m.cacheArg) < out.Len() {
-		m.cacheArg = make([]int, out.Len())
-	}
-	m.cacheArg = m.cacheArg[:out.Len()]
-	m.cacheInShape = [3]int{c, h, w}
-	for ci := 0; ci < c; ci++ {
-		plane := x.Data[ci*h*w:]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best, bestIdx := plane[(oy*m.S)*w+ox*m.S], (oy*m.S)*w+ox*m.S
-				for ky := 0; ky < m.K; ky++ {
-					iy := oy*m.S + ky
-					if iy >= h {
-						break
-					}
-					for kx := 0; kx < m.K; kx++ {
-						ix := ox*m.S + kx
-						if ix >= w {
-							break
-						}
-						if v := plane[iy*w+ix]; v > best {
-							best, bestIdx = v, iy*w+ix
-						}
-					}
-				}
-				oi := (ci*oh+oy)*ow + ox
-				out.Data[oi] = best
-				m.cacheArg[oi] = ci*h*w + bestIdx
-			}
-		}
-	}
-	return out, nil
-}
-
-// Backward routes each gradient to the position that won the max.
-func (m *MaxPool2D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
-	if dout.Len() != len(m.cacheArg) {
-		return nil, fmt.Errorf("maxpool2d: grad size %d, want %d", dout.Len(), len(m.cacheArg))
-	}
-	s := m.cacheInShape
-	dx := tensor.New(s[0], s[1], s[2])
-	for i, src := range m.cacheArg {
-		dx.Data[src] += dout.Data[i]
-	}
-	return dx, nil
-}
-
-// ForwardWS is the eval-mode forward: the output comes from ws and no
-// argmax cache is written. A channel-major batched input [C,M,H,W]
-// pools every sample plane, yielding [C,M,OH,OW].
-func (m *MaxPool2D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error) {
-	bn := 1
-	var c, h, w int
-	switch x.Rank() {
-	case 3:
-		c, h, w = x.Shape[0], x.Shape[1], x.Shape[2]
-	case 4:
-		c, bn, h, w = x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	default:
-		return nil, fmt.Errorf("maxpool2d: input shape %v, want [C,(M,)H,W]", x.Shape)
-	}
-	oh := tensor.ConvOutSize(h, m.K, m.S, 0)
-	ow := tensor.ConvOutSize(w, m.K, m.S, 0)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("maxpool2d: kernel %d too large for input %v", m.K, x.Shape)
-	}
-	var out *tensor.Tensor
-	if x.Rank() == 3 {
-		out = ws.Get(c, oh, ow)
-	} else {
-		out = ws.Get(c, bn, oh, ow)
-	}
-	planes := c * bn
-	if tensor.ParallelChunks(planes, oh*ow*m.K*m.K) <= 1 {
-		maxPoolPlanes(out.Data, x.Data, h, w, oh, ow, m.K, m.S, 0, planes)
-	} else {
-		tensor.ParallelFor(planes, oh*ow*m.K*m.K, func(lo, hi int) {
-			maxPoolPlanes(out.Data, x.Data, h, w, oh, ow, m.K, m.S, lo, hi)
-		})
-	}
-	return out, nil
-}
-
-// maxPoolPlanes pools planes [lo, hi) — the chunk body of the
-// MaxPool2D eval forward.
-func maxPoolPlanes(outData, xData []float64, h, w, oh, ow, k, s, lo, hi int) {
-	for pi := lo; pi < hi; pi++ {
-		plane := xData[pi*h*w:]
-		dst := outData[pi*oh*ow:]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := plane[(oy*s)*w+ox*s]
-				for ky := 0; ky < k; ky++ {
-					iy := oy*s + ky
-					if iy >= h {
-						break
-					}
-					for kx := 0; kx < k; kx++ {
-						ix := ox*s + kx
-						if ix >= w {
-							break
-						}
-						if v := plane[iy*w+ix]; v > best {
-							best = v
-						}
-					}
-				}
-				dst[oy*ow+ox] = best
-			}
-		}
-	}
-}
-
-// Params returns nil; pooling has no parameters.
-func (m *MaxPool2D) Params() []*Param { return nil }
-
 // GlobalAvgPool3D reduces a [C,T,H,W] tensor to a rank-1 [C] vector by
 // averaging over all spatio-temporal positions. It is the final
 // pooling stage of the video classifiers.

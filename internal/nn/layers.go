@@ -253,77 +253,3 @@ func flattenRows(outData, xData []float64, c, m, vol, feat, lo, hi int) {
 
 // Params returns nil; Flatten has no parameters.
 func (f *Flatten) Params() []*Param { return nil }
-
-// Dropout randomly zeroes a fraction of activations during training
-// and is the identity during evaluation. Scaling uses the inverted
-// dropout convention so evaluation needs no rescale.
-type Dropout struct {
-	// Rate is the drop probability in [0, 1).
-	Rate float64
-
-	rng   *rand.Rand
-	train bool
-	mask  []float64
-}
-
-var (
-	_ Layer      = (*Dropout)(nil)
-	_ TrainAware = (*Dropout)(nil)
-)
-
-// NewDropout creates a dropout layer with the given drop rate, using
-// rng as its randomness source. It starts in training mode.
-func NewDropout(rate float64, rng *rand.Rand) *Dropout {
-	return &Dropout{Rate: rate, rng: rng, train: true}
-}
-
-// SetTrain toggles between training (random drops) and evaluation
-// (identity) behaviour.
-func (d *Dropout) SetTrain(train bool) { d.train = train }
-
-// Forward drops activations with probability Rate during training.
-func (d *Dropout) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if !d.train || d.Rate <= 0 {
-		d.mask = d.mask[:0]
-		return x, nil
-	}
-	keep := 1 - d.Rate
-	if cap(d.mask) < len(x.Data) {
-		d.mask = make([]float64, len(x.Data))
-	}
-	d.mask = d.mask[:len(x.Data)]
-	out := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		if d.rng.Float64() < keep {
-			d.mask[i] = 1 / keep
-			out.Data[i] = v / keep
-		} else {
-			d.mask[i] = 0
-		}
-	}
-	return out, nil
-}
-
-// Backward applies the cached mask to the gradient.
-func (d *Dropout) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(d.mask) == 0 {
-		return dout, nil
-	}
-	if len(dout.Data) != len(d.mask) {
-		return nil, fmt.Errorf("dropout: grad length %d, want %d", len(dout.Data), len(d.mask))
-	}
-	dx := tensor.New(dout.Shape...)
-	for i, m := range d.mask {
-		dx.Data[i] = dout.Data[i] * m
-	}
-	return dx, nil
-}
-
-// ForwardWS is the eval-mode forward: dropout is the identity at
-// inference, regardless of the training flag.
-func (d *Dropout) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error) {
-	return x, nil
-}
-
-// Params returns nil; Dropout has no parameters.
-func (d *Dropout) Params() []*Param { return nil }

@@ -62,7 +62,8 @@ type Layer interface {
 }
 
 // TrainAware is implemented by layers whose behaviour differs between
-// training and evaluation (e.g. Dropout).
+// training and evaluation (e.g. the convolutions, which keep their
+// backward cache only in training).
 type TrainAware interface {
 	SetTrain(train bool)
 }

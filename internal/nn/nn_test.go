@@ -72,55 +72,26 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainVsEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewDropout(0.5, rng)
-	x := tensor.Full(1, 1000)
-
-	out, err := d.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeros := 0
-	for _, v := range out.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 350 || zeros > 650 {
-		t.Fatalf("train-mode dropout zeroed %d/1000, want ≈500", zeros)
-	}
-	// Inverted dropout keeps the expectation: mean should be ≈1.
-	if m := out.Mean(); math.Abs(m-1) > 0.15 {
-		t.Fatalf("train-mode mean = %v, want ≈1", m)
-	}
-
-	d.SetTrain(false)
-	out, err = d.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out.Data {
-		if v != 1 {
-			t.Fatal("eval-mode dropout must be identity")
-		}
-	}
-}
-
 func TestSequentialSetTrainPropagates(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	d := NewDropout(0.9, rng)
-	net := NewSequential(NewReLU(), d)
-	net.SetTrain(false)
-	x := tensor.Full(2, 10)
+	net := NewSequential(
+		NewConv2D("c", Conv2DConfig{InC: 1, OutC: 2, KH: 3, KW: 3, PH: 1, PW: 1}, rng),
+		NewReLU(),
+	)
+	x := tensor.RandnTensor(rng, 1, 1, 4, 4)
 	out, err := net.Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range out.Data {
-		if v != 2 {
-			t.Fatal("SetTrain(false) did not reach dropout")
-		}
+	if _, err := net.Backward(tensor.Full(1, out.Shape...)); err != nil {
+		t.Fatalf("train-mode Backward: %v", err)
+	}
+	net.SetTrain(false)
+	if out, err = net.Forward(x); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Backward(tensor.Full(1, out.Shape...)); err == nil {
+		t.Fatal("SetTrain(false) did not reach the conv: Backward still had a cache")
 	}
 }
 

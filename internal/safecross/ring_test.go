@@ -154,10 +154,7 @@ func TestResetRestartsRingAndStreak(t *testing.T) {
 	sameClips(t, rec.clips, referenceClips(t, after, clipLen))
 
 	f.Reset()
-	half, err := before[0].Downsample(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	half := vision.NewImage(before[0].W/2, before[0].H/2)
 	if _, err := f.ProcessFrame(half); err != nil {
 		t.Fatalf("Reset must let a feed of another size re-prime: %v", err)
 	}

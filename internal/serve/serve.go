@@ -38,9 +38,9 @@
 // is already resident when one is idle, and only triggers a
 // PipeSwitch load when no warm worker exists.
 //
-// The plane is engine-keyed: workers dispatch through the unified
-// inference engine (infer.Model / infer.PredictBatch), so video
-// classifiers and detector presence models serve interchangeably.
+// The plane is engine-keyed: workers dispatch through the inference
+// engine (infer.Model / infer.PredictBatch), so any model implementing
+// the contract serves from the same workers.
 // Each worker owns one nn.Workspace for its whole life: a single
 // scratch slab, reserved for a MaxBatch pass after the worker's first
 // batch, so no later forward pass allocates scratch. The workers'
@@ -247,9 +247,8 @@ type Verdict struct {
 // ModelFactory builds one private replica of the per-scene engine
 // models for a worker. It is called once per worker at server
 // construction; replicas must not share mutable state. The serving
-// plane is engine-keyed: any infer.Model — a video classifier behind
-// video.Engine, a detector behind detect.NewPresence — serves from
-// the same worker pool.
+// plane is engine-keyed: any infer.Model (a video classifier behind
+// video.Engine) serves from the same worker pool.
 type ModelFactory func() (map[sim.Weather]infer.Model, error)
 
 // Replicas returns a ModelFactory that clones trained per-scene video

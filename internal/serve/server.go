@@ -203,14 +203,6 @@ func (s *Server) Submit(ctx context.Context, req Request) (Verdict, error) {
 	if !s.scenes[req.Scene] {
 		return Verdict{}, fmt.Errorf("serve: no model for scene %v", req.Scene)
 	}
-	if err := ctx.Err(); err != nil {
-		// Admitted and cancelled at once, so the request still settles
-		// in exactly one outcome counter.
-		s.metrics.submitted.Inc()
-		s.scene[req.Scene].requests.Inc()
-		s.metrics.cancelled.Inc()
-		return Verdict{}, err
-	}
 	// The request's trace rides the context when the caller started
 	// one; otherwise the server's sampler (if any) starts it here and
 	// owns its retirement.
@@ -219,6 +211,18 @@ func (s *Server) Submit(ctx context.Context, req Request) (Verdict, error) {
 	if tr == nil && s.tracer != nil {
 		tr = s.tracer.Start("serve/" + req.Scene.String())
 		owned = true
+	}
+	if owned {
+		defer tr.Finish()
+	}
+	if err := ctx.Err(); err != nil {
+		// Admitted and cancelled at once, so the request still settles
+		// in exactly one outcome counter and one trace terminal.
+		s.metrics.submitted.Inc()
+		s.scene[req.Scene].requests.Inc()
+		s.metrics.cancelled.Inc()
+		tr.Terminal("cancelled", time.Now())
+		return Verdict{}, err
 	}
 	p := &pending{
 		req:       req,
@@ -230,9 +234,6 @@ func (s *Server) Submit(ctx context.Context, req Request) (Verdict, error) {
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		p.deadline = time.Until(dl)
-	}
-	if owned {
-		defer tr.Finish()
 	}
 
 	s.mu.Lock()

@@ -16,7 +16,6 @@ import (
 //	/metrics       Prometheus text exposition of the registry (plus
 //	               the federated fleet:: view when a Federator is
 //	               attached)
-//	/metrics.json  JSON snapshot of the registry
 //	/metrics.fed   federation wire snapshot (full histogram buckets) —
 //	               what a coordinator's Federator scrapes
 //	/traces        JSON dump of the tracer's retained traces;
@@ -101,14 +100,6 @@ func ListenDebug(addr string, reg *Registry, tracer *Tracer, opts ...DebugOption
 		if cfg.fed != nil {
 			_ = cfg.fed.WritePrometheus(w)
 		}
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		snap := map[string]any{}
-		if reg != nil {
-			snap = reg.Snapshot().Values()
-		}
-		_ = json.NewEncoder(w).Encode(snap)
 	})
 	mux.HandleFunc("/metrics.fed", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

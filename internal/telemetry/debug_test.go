@@ -50,16 +50,16 @@ func TestDebugServerEndpoints(t *testing.T) {
 		}
 	}
 
-	code, body = debugGet(t, base+"/metrics.json")
+	code, body = debugGet(t, base+"/metrics.fed")
 	if code != http.StatusOK {
-		t.Fatalf("/metrics.json status %d", code)
+		t.Fatalf("/metrics.fed status %d", code)
 	}
-	var snap map[string]any
+	var snap FedSnapshot
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/metrics.json not JSON: %v\n%s", err, body)
+		t.Fatalf("/metrics.fed not JSON: %v\n%s", err, body)
 	}
-	if snap["debug_requests_total"].(float64) != 3 {
-		t.Fatalf("snapshot counter = %v", snap["debug_requests_total"])
+	if snap.Values["debug_requests_total"] != 3 {
+		t.Fatalf("snapshot counter = %v", snap.Values["debug_requests_total"])
 	}
 
 	code, body = debugGet(t, base+"/traces")

@@ -18,9 +18,8 @@ import (
 // coordinator-side view, and a cross-node trace stitcher that groups
 // per-process trace segments by their shared TraceID.
 
-// FedHistogram is one histogram's federation wire form. Unlike the
-// human-facing HistogramSnapshot (which collapses to p50/p90/p99), it
-// carries the sparse bucket array, so two nodes' histograms merge
+// FedHistogram is one histogram's federation wire form. It carries
+// the sparse bucket array, so two nodes' histograms merge
 // bucket-by-bucket with exact counts and any quantile can be resolved
 // from the merged state.
 type FedHistogram struct {
@@ -360,18 +359,6 @@ func (f *Federator) Nodes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// View returns one node's last scraped snapshot and when it was
-// taken (ok=false when the node has no view).
-func (f *Federator) View(node string) (FedSnapshot, time.Time, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v := f.views[node]
-	if v == nil {
-		return FedSnapshot{}, time.Time{}, false
-	}
-	return v.snap, v.scraped, true
 }
 
 // MergedHistogram returns the exact bucket-merge of one series across

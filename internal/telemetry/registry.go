@@ -363,7 +363,7 @@ type metric struct {
 	c    *Counter
 	g    *Gauge
 	fg   *FloatGauge
-	gf   func() int64
+	gf   atomic.Pointer[func() int64] // replaced by GaugeFunc while exports read it
 	h    *Histogram
 }
 
@@ -431,10 +431,12 @@ func (r *Registry) FloatGauge(name, help string) *FloatGauge {
 // clocks, subscriber counts). Re-registering a name replaces the
 // function.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	m := r.register(name, help, func() *metric { return &metric{gf: fn} })
-	r.mu.Lock()
-	m.gf = fn
-	r.mu.Unlock()
+	withFn := func() *metric {
+		m := &metric{}
+		m.gf.Store(&fn)
+		return m
+	}
+	r.register(name, help, withFn).gf.Store(&fn)
 }
 
 // Histogram returns the histogram registered under name, creating it
@@ -494,9 +496,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	helped := make(map[string]bool)
 	for _, m := range r.snapshotMetrics() {
 		base, labels := splitName(m.name)
+		gf := m.gf.Load()
 		kind := "counter"
 		switch {
-		case m.g != nil || m.fg != nil || m.gf != nil:
+		case m.g != nil || m.fg != nil || gf != nil:
 			kind = "gauge"
 		case m.h != nil:
 			kind = "histogram"
@@ -520,8 +523,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.g.Value())
 		case m.fg != nil:
 			_, err = fmt.Fprintf(w, "%s %g\n", m.name, m.fg.Value())
-		case m.gf != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.gf())
+		case gf != nil:
+			_, err = fmt.Fprintf(w, "%s %d\n", m.name, (*gf)())
 		case m.h != nil:
 			err = writePromHistogram(w, base, labels, m.h)
 		}
@@ -570,23 +573,4 @@ func writePromHistogramData(w io.Writer, base, labels string, buckets *[histBuck
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", base, suffix, count)
 	return err
-}
-
-// HistogramSnapshot is the JSON face of one histogram.
-type HistogramSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// inUnit converts a raw observation for JSON export.
-func inUnit(v int64, unit Unit) float64 {
-	if unit == UnitSeconds {
-		return time.Duration(v).Seconds()
-	}
-	return float64(v)
 }

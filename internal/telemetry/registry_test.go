@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -208,16 +210,50 @@ func TestSnapshotJSONShape(t *testing.T) {
 	if snap.Value("c_total") != 2 {
 		t.Fatalf("snapshot counter = %v", snap.Value("c_total"))
 	}
-	vals := snap.Values()
-	if vals["c_total"].(int64) != 2 {
-		t.Fatalf("snapshot JSON counter = %v", vals["c_total"])
+	var fed FedSnapshot
+	raw, err := json.Marshal(snap.Fed())
+	if err != nil {
+		t.Fatal(err)
 	}
-	hs := vals["h_seconds"].(HistogramSnapshot)
-	if hs.Count != 1 || hs.Max < 0.99 || hs.Max > 1.01 {
+	if err := json.Unmarshal(raw, &fed); err != nil {
+		t.Fatalf("fed snapshot round trip: %v\n%s", err, raw)
+	}
+	if fed.Values["c_total"] != 2 {
+		t.Fatalf("snapshot JSON counter = %v", fed.Values["c_total"])
+	}
+	hs := fed.Hists["h_seconds"]
+	if hs.Count != 1 || hs.Unit != UnitSeconds || hs.Max != int64(time.Second) {
 		t.Fatalf("snapshot histogram = %+v", hs)
 	}
 	if snap.Count("h_seconds") != 1 || snap.QuantileDuration("h_seconds", 1) != time.Second {
 		t.Fatalf("typed histogram accessors: count=%d p100=%v",
 			snap.Count("h_seconds"), snap.QuantileDuration("h_seconds", 1))
 	}
+}
+
+// TestGaugeFuncReplaceDuringExport re-registers a computed gauge while
+// exports run; under -race it fails if an export reads the function
+// field unsynchronised.
+func TestGaugeFuncReplaceDuringExport(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("g", "", func() int64 { return 1 })
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			r.GaugeFunc("g", "", func() int64 { return 2 })
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			_ = r.WritePrometheus(io.Discard)
+			if v := r.Snapshot().Value("g"); v != 1 && v != 2 {
+				t.Errorf("gauge read %d, want 1 or 2", v)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

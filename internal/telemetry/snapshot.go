@@ -39,6 +39,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		hists:  make(map[string]*histSnapshot),
 	}
 	for _, m := range r.snapshotMetrics() {
+		gf := m.gf.Load()
 		switch {
 		case m.c != nil:
 			s.values[m.name] = m.c.Value()
@@ -46,8 +47,8 @@ func (r *Registry) Snapshot() *Snapshot {
 			s.values[m.name] = m.g.Value()
 		case m.fg != nil:
 			s.floats[m.name] = m.fg.Value()
-		case m.gf != nil:
-			s.values[m.name] = m.gf()
+		case gf != nil:
+			s.values[m.name] = (*gf)()
 		case m.h != nil:
 			buckets, count, sum := m.h.snapshot()
 			s.hists[m.name] = &histSnapshot{
@@ -176,37 +177,5 @@ func (s *Snapshot) Names(substr string) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Values renders the snapshot in the JSON export shape: counters and
-// gauges as numbers, histograms as HistogramSnapshot. This is what the
-// debug listener's /metrics.json serves.
-func (s *Snapshot) Values() map[string]any {
-	out := make(map[string]any, len(s.values)+len(s.floats)+len(s.hists))
-	for name, v := range s.values {
-		out[name] = v
-	}
-	for name, v := range s.floats {
-		out[name] = v
-	}
-	for name, h := range s.hists {
-		mean := 0.0
-		if h.count > 0 {
-			mean = float64(h.sum) / float64(h.count)
-		}
-		if h.unit == UnitSeconds {
-			mean /= float64(time.Second)
-		}
-		out[name] = HistogramSnapshot{
-			Count: h.count,
-			Sum:   inUnit(h.sum, h.unit),
-			Mean:  mean,
-			Max:   inUnit(h.max, h.unit),
-			P50:   inUnit(quantileFromBuckets(&h.buckets, h.count, h.max, 0.50), h.unit),
-			P90:   inUnit(quantileFromBuckets(&h.buckets, h.count, h.max, 0.90), h.unit),
-			P99:   inUnit(quantileFromBuckets(&h.buckets, h.count, h.max, 0.99), h.unit),
-		}
-	}
 	return out
 }

@@ -28,17 +28,6 @@ func (t *Tensor) SubInPlace(o *Tensor) error {
 	return nil
 }
 
-// MulInPlace multiplies t by o element-wise (Hadamard product).
-func (t *Tensor) MulInPlace(o *Tensor) error {
-	if len(t.Data) != len(o.Data) {
-		return fmt.Errorf("tensor: mul size mismatch %v vs %v", t.Shape, o.Shape)
-	}
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-	return nil
-}
-
 // Add returns t + o as a new tensor.
 func Add(t, o *Tensor) (*Tensor, error) {
 	r := t.Clone()

@@ -36,10 +36,6 @@ func New(shape ...int) *Tensor {
 	}
 }
 
-// Zeros is an alias for New, provided for readability at call sites
-// that emphasise the zero initialisation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -84,9 +80,6 @@ func (t *Tensor) Len() int { return len(t.Data) }
 
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
@@ -198,13 +191,6 @@ func RandnTensor(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	t.Randn(rng, std)
 	return t
-}
-
-// Uniform fills t with samples from U(lo, hi).
-func (t *Tensor) Uniform(rng *rand.Rand, lo, hi float64) {
-	for i := range t.Data {
-		t.Data[i] = lo + rng.Float64()*(hi-lo)
-	}
 }
 
 // KaimingStd returns the He-initialisation standard deviation for a

@@ -101,14 +101,6 @@ func TestElementwiseOps(t *testing.T) {
 		t.Fatalf("Sub = %v", diff.Data)
 	}
 
-	c := a.Clone()
-	if err := c.MulInPlace(b); err != nil {
-		t.Fatal(err)
-	}
-	if c.At(1, 0) != 90 {
-		t.Fatalf("Mul = %v", c.Data)
-	}
-
 	if err := a.AddInPlace(New(3)); err == nil {
 		t.Fatal("expected size-mismatch error")
 	}

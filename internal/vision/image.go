@@ -119,22 +119,6 @@ func (im *Image) FillRect(x0, y0, x1, y1 int, v float64) {
 	}
 }
 
-// FlipHorizontal returns the image mirrored left-to-right. SafeCross
-// uses it to retarget the framework at right-turn blind zones in
-// left-driving countries — per the paper, "the difference is just the
-// training data".
-func (im *Image) FlipHorizontal() *Image {
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		row := im.Pix[y*im.W : (y+1)*im.W]
-		dst := out.Pix[y*im.W : (y+1)*im.W]
-		for x, v := range row {
-			dst[im.W-1-x] = v
-		}
-	}
-	return out
-}
-
 // AddGaussianNoise adds N(0, sigma) noise to every pixel and clamps
 // to [0, 1]. This models the paper's low-quality decades-old cameras.
 func (im *Image) AddGaussianNoise(rng *rand.Rand, sigma float64) {
@@ -180,33 +164,6 @@ func (im *Image) Threshold(t float64) *Image {
 		}
 	}
 	return out
-}
-
-// Downsample returns the image reduced by an integer factor using box
-// averaging.
-func (im *Image) Downsample(factor int) (*Image, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("vision: downsample factor %d must be positive", factor)
-	}
-	ow, oh := im.W/factor, im.H/factor
-	if ow == 0 || oh == 0 {
-		return nil, fmt.Errorf("vision: downsample factor %d too large for %dx%d", factor, im.W, im.H)
-	}
-	out := NewImage(ow, oh)
-	inv := 1 / float64(factor*factor)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			s := 0.0
-			for dy := 0; dy < factor; dy++ {
-				row := im.Pix[(oy*factor+dy)*im.W:]
-				for dx := 0; dx < factor; dx++ {
-					s += row[ox*factor+dx]
-				}
-			}
-			out.Pix[oy*ow+ox] = s * inv
-		}
-	}
-	return out, nil
 }
 
 // ASCII renders the image as rows of characters from a 10-step
@@ -269,16 +226,6 @@ func (r Rect) Intersect(o Rect) Rect {
 
 // Overlaps reports whether r and o share any pixels.
 func (r Rect) Overlaps(o Rect) bool { return !r.Intersect(o).Empty() }
-
-// IoU returns the intersection-over-union of two rectangles.
-func (r Rect) IoU(o Rect) float64 {
-	inter := r.Intersect(o).Area()
-	if inter == 0 {
-		return 0
-	}
-	union := r.Area() + o.Area() - inter
-	return float64(inter) / float64(union)
-}
 
 func maxInt(a, b int) int {
 	if a > b {

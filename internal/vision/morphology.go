@@ -7,8 +7,8 @@ package vision
 // weakened vehicle silhouettes.
 //
 // There is one implementation, on byte masks: the Preprocessor runs it
-// on its persistent planes, and the Image-typed functions below
-// convert in, run the same kernels, and convert out.
+// on its persistent planes, and Open converts an Image in, runs the
+// same kernels, and converts out.
 
 // mask is a binary image, one byte per pixel (0 or 1), row-major. tmp
 // is the same-size scratch plane the separable passes bounce through,
@@ -126,26 +126,6 @@ func (m *mask) dilate(r int) {
 func (m *mask) open(r int) {
 	m.erode(r)
 	m.dilate(r)
-}
-
-// Erode returns the binary erosion of im (set where intensity ≥ 0.5)
-// with a (2r+1)×(2r+1) square structuring element: a pixel survives
-// only if its whole neighbourhood is set. Pixels outside the image
-// count as unset, so blobs touching the border erode there too. A
-// radius ≤ 0 only binarises.
-func Erode(im *Image, r int) *Image {
-	m := newMask(im)
-	m.erode(r)
-	return m.image()
-}
-
-// Dilate returns the binary dilation of im with a (2r+1)×(2r+1)
-// square structuring element: a pixel is set if any neighbour is set.
-// A radius ≤ 0 only binarises.
-func Dilate(im *Image, r int) *Image {
-	m := newMask(im)
-	m.dilate(r)
-	return m.image()
 }
 
 // Open performs morphological opening: erosion followed by dilation

@@ -316,7 +316,7 @@ func TestFusedVPTinyFrame(t *testing.T) {
 	}
 }
 
-// TestMorphologyMatchesOracle: the public operators on arbitrary
+// TestMorphologyMatchesOracle: the morphology kernels on arbitrary
 // (non-binary) images of awkward sizes.
 func TestMorphologyMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
@@ -333,8 +333,8 @@ func TestMorphologyMatchesOracle(t *testing.T) {
 				}
 			}
 			for r := 0; r <= 3; r++ {
-				sameImage(t, "Erode", vision.Erode(im, r), erodeAt(im, r))
-				sameImage(t, "Dilate", vision.Dilate(im, r), dilateAt(im, r))
+				sameImage(t, "erode", vision.MaskErode(im, r), erodeAt(im, r))
+				sameImage(t, "dilate", vision.MaskDilate(im, r), dilateAt(im, r))
 				sameImage(t, "Open", vision.Open(im, r), openAt(im, r))
 			}
 			sameBlobs(t, "ConnectedComponents", vision.ConnectedComponents(im, 1+trial%3), componentsLabelled(im, 1+trial%3))

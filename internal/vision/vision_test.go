@@ -50,27 +50,6 @@ func TestAbsDiffAndThreshold(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	im := NewImage(4, 4)
-	im.FillRect(0, 0, 2, 2, 1)
-	out, err := im.Downsample(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.W != 2 || out.H != 2 {
-		t.Fatalf("downsample size %dx%d", out.W, out.H)
-	}
-	if out.At(0, 0) != 1 || out.At(1, 1) != 0 {
-		t.Fatalf("downsample values %v", out.Pix)
-	}
-	if _, err := im.Downsample(0); err == nil {
-		t.Fatal("expected factor error")
-	}
-	if _, err := im.Downsample(5); err == nil {
-		t.Fatal("expected too-large error")
-	}
-}
-
 func TestRectOperations(t *testing.T) {
 	a := Rect{X0: 0, Y0: 0, X1: 4, Y1: 4}
 	b := Rect{X0: 2, Y0: 2, X1: 6, Y1: 6}
@@ -78,18 +57,12 @@ func TestRectOperations(t *testing.T) {
 	if inter.Area() != 4 {
 		t.Fatalf("intersect area = %d, want 4", inter.Area())
 	}
-	if got := a.IoU(b); math.Abs(got-4.0/28) > 1e-12 {
-		t.Fatalf("IoU = %v, want %v", got, 4.0/28)
-	}
 	if !a.Overlaps(b) {
 		t.Fatal("rects should overlap")
 	}
 	c := Rect{X0: 10, Y0: 10, X1: 12, Y1: 12}
 	if a.Overlaps(c) {
 		t.Fatal("disjoint rects must not overlap")
-	}
-	if a.IoU(c) != 0 {
-		t.Fatal("disjoint IoU must be 0")
 	}
 	if !a.Contains(3, 3) || a.Contains(4, 4) {
 		t.Fatal("Contains uses half-open bounds")
@@ -186,7 +159,7 @@ func TestOpeningRemovesNoiseKeepsVehicle(t *testing.T) {
 func TestErodeDilateKnownShapes(t *testing.T) {
 	im := NewImage(7, 7)
 	im.FillRect(2, 2, 5, 5, 1) // 3x3 square
-	e := Erode(im, 1)
+	e := MaskErode(im, 1)
 	if e.At(3, 3) != 1 {
 		t.Fatal("erosion must keep the centre of a 3x3 square")
 	}
@@ -199,7 +172,7 @@ func TestErodeDilateKnownShapes(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("erosion of 3x3 square should leave 1 pixel, got %d", count)
 	}
-	d := Dilate(e, 1)
+	d := MaskDilate(e, 1)
 	count = 0
 	for _, v := range d.Pix {
 		if v >= 0.5 {
@@ -428,22 +401,5 @@ func TestASCIIRender(t *testing.T) {
 	}
 	if s[0] != ' ' || s[2] != '@' {
 		t.Fatalf("ASCII ramp endpoints wrong: %q", s)
-	}
-}
-
-func TestFlipHorizontal(t *testing.T) {
-	im := NewImage(4, 2)
-	im.Set(0, 0, 0.1)
-	im.Set(3, 1, 0.9)
-	f := im.FlipHorizontal()
-	if f.At(3, 0) != 0.1 || f.At(0, 1) != 0.9 {
-		t.Fatalf("flip wrong: %v", f.Pix)
-	}
-	// Involution: flipping twice restores the original.
-	ff := f.FlipHorizontal()
-	for i := range im.Pix {
-		if im.Pix[i] != ff.Pix[i] {
-			t.Fatal("double flip must be identity")
-		}
 	}
 }
