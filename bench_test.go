@@ -396,6 +396,129 @@ func BenchmarkFig8_SlowFastInference(b *testing.B) {
 	})
 }
 
+// BenchmarkConv3DEval times the eval-mode Conv3D forward
+// (nn.Conv3D.ForwardWS) at the five convolutions of SlowFast at T = 32
+// on the 10×16 grid. "real" feeds each layer the input it sees when the
+// trained Day model classifies a VP clip — mostly exact zeros, which
+// the direct kernel skips; "randn" feeds a dense normal input of the
+// same shape, the kernel's worst case. zeros% is the input's share of
+// exact zeros.
+func BenchmarkConv3DEval(b *testing.B) {
+	layers, inputs := slowFastConvInputs(b)
+	rng := rand.New(rand.NewSource(1))
+	for i, l := range layers {
+		for _, in := range []struct {
+			name string
+			x    *tensor.Tensor
+		}{
+			{"real", inputs[i]},
+			{"randn", tensor.RandnTensor(rng, 1, inputs[i].Shape...)},
+		} {
+			b.Run(slowFastConvs[i].name+"/"+in.name, func(b *testing.B) {
+				ws := nn.NewWorkspace()
+				forward := func() {
+					if _, err := l.ForwardWS(in.x, ws); err != nil {
+						b.Fatal(err)
+					}
+					ws.Reset()
+				}
+				forward()
+				forward()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for j := 0; j < b.N; j++ {
+					forward()
+				}
+				b.StopTimer()
+				zeros := 0
+				for _, v := range in.x.Data {
+					if v == 0 {
+						zeros++
+					}
+				}
+				b.ReportMetric(100*float64(zeros)/float64(in.x.Len()), "zeros%")
+			})
+		}
+	}
+}
+
+// slowFastConvs are the Conv3D layers of the default SlowFast
+// (internal/video), named as its parameters are.
+var slowFastConvs = []struct {
+	name string
+	cfg  nn.Conv3DConfig
+}{
+	{"fast.conv1", nn.Conv3DConfig{InC: 1, OutC: 3, KT: 3, KH: 3, KW: 3, ST: 1, SH: 2, SW: 2, PT: 1, PH: 1, PW: 1}},
+	{"fast.conv2", nn.Conv3DConfig{InC: 3, OutC: 6, KT: 3, KH: 3, KW: 3, ST: 2, SH: 1, SW: 1, PT: 1, PH: 1, PW: 1}},
+	{"slow.conv1", nn.Conv3DConfig{InC: 1, OutC: 10, KT: 1, KH: 3, KW: 3, ST: 1, SH: 2, SW: 2, PT: 0, PH: 1, PW: 1}},
+	{"lateral.conv", nn.Conv3DConfig{InC: 6, OutC: 6, KT: 3, KH: 1, KW: 1, ST: 4, SH: 1, SW: 1, PT: 1, PH: 0, PW: 0}},
+	{"fuse.conv1", nn.Conv3DConfig{InC: 16, OutC: 16, KT: 3, KH: 3, KW: 3, ST: 1, SH: 2, SW: 2, PT: 1, PH: 1, PW: 1}},
+}
+
+// slowFastConvInputs trains the scene models at the paper's clip length
+// (the quick profile at T = 32, as the end-to-end benchmark does),
+// copies the Day model's weights into standalone layers in
+// slowFastConvs order, and runs one VP clip through them in SlowFast's
+// eval order, returning the input each layer sees.
+func slowFastConvInputs(b *testing.B) ([]*nn.Conv3D, []*tensor.Tensor) {
+	b.Helper()
+	t32Once.Do(func() {
+		cfg := experiments.Quick()
+		cfg.ClipLen = 32
+		t32TM, t32Err = experiments.TrainSceneModels(cfg)
+	})
+	if t32Err != nil {
+		b.Fatal(t32Err)
+	}
+	trained := make(map[string]*nn.Param)
+	for _, p := range t32TM.Models[sim.Day].Params() {
+		trained[p.Name] = p
+	}
+	rng := rand.New(rand.NewSource(1))
+	layers := make([]*nn.Conv3D, len(slowFastConvs))
+	for i, c := range slowFastConvs {
+		w, bias := trained[c.name+".weight"], trained[c.name+".bias"]
+		if w == nil || bias == nil {
+			b.Fatalf("the Day model has no conv %q", c.name)
+		}
+		layers[i] = nn.NewConv3D(c.name, c.cfg, rng)
+		if err := nn.CopyParams(layers[i].Params(), []*nn.Param{w, bias}); err != nil {
+			b.Fatal(err)
+		}
+		layers[i].SetTrain(false)
+	}
+	forward := func(i int, x *tensor.Tensor, relu bool) *tensor.Tensor {
+		y, err := layers[i].Forward(x)
+		if err == nil && relu {
+			y, err = nn.NewReLU().Forward(y)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		return y
+	}
+	x := makeBenchClips(b, 32, 1)[0].Input
+	spat := x.Shape[2] * x.Shape[3]
+	slowIn := tensor.New(1, x.Shape[1]/8, x.Shape[2], x.Shape[3])
+	for f := range slowIn.Shape[1] {
+		copy(slowIn.Data[f*spat:(f+1)*spat], x.Data[8*f*spat:])
+	}
+	hidden := forward(0, x, true)
+	fast := forward(1, hidden, true)
+	slow := forward(2, slowIn, true)
+	fused, err := nn.ConcatChannels4D(slow, forward(3, fast, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return layers, []*tensor.Tensor{x, hidden, slowIn, fast, fused}
+}
+
+var (
+	t32Once sync.Once
+	t32TM   *experiments.TrainedModels
+	t32Err  error
+)
+
 // BenchmarkDetectEval_Yolite times the detector's steady-state frame
 // eval — the deployed per-frame path: ScoreMapWS through the reused
 // workspace plus connected-component boxing. Before timing it asserts
@@ -693,8 +816,9 @@ func BenchmarkServe_MemoryPressure(b *testing.B) {
 		b.Fatalf("budgeted workers produced no churn: evictions=%d reloads=%d", st.Evictions, st.Reloads)
 	}
 	b.ReportMetric(st.VirtualThroughput(), "virt-clip/s")
-	b.ReportMetric(float64(st.Evictions)/float64(intersections*clipsPer), "evictions/clip")
-	b.ReportMetric(float64(st.Reloads)/float64(intersections*clipsPer), "reloads/clip")
+	clips := float64(b.N * intersections * clipsPer)
+	b.ReportMetric(float64(st.Evictions)/clips, "evictions/clip")
+	b.ReportMetric(float64(st.Reloads)/clips, "reloads/clip")
 	b.ReportMetric(float64(st.CriticalQueueP95.Microseconds()), "crit-p95-µs")
 	b.ReportMetric(float64(st.RoutineQueueP95.Microseconds()), "rout-p95-µs")
 }

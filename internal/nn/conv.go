@@ -343,8 +343,9 @@ func (c *Conv3D) Backward(dout *tensor.Tensor) (*tensor.Tensor, error) {
 
 // ForwardWS is the eval-mode forward: scratch comes from ws, no
 // backward cache is written, and a channel-major batched input
-// [C,N,T,H,W] convolves all N volumes with one im2col and one matmul,
-// yielding [OutC,N,OT,OH,OW].
+// [C,N,T,H,W] convolves all N volumes in one zero-skipping direct
+// convolution (tensor.Conv3DInto), yielding [OutC,N,OT,OH,OW]
+// bit-identical to the im2col + matmul of Forward.
 func (c *Conv3D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, error) {
 	bn := 1
 	var t, h, w int
@@ -363,15 +364,12 @@ func (c *Conv3D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, err
 		return nil, fmt.Errorf("conv3d %s: kernel %dx%dx%d too large for input %v", c.W.Name, c.kt, c.kh, c.kw, x.Shape)
 	}
 	n := bn * ot * oh * ow
-	cols := ws.Get(c.inC*c.kt*c.kh*c.kw, n)
-	if err := tensor.Im2Col3DBatchInto(cols, x, bn, c.kt, c.kh, c.kw, c.st, c.sh, c.sw, c.pt, c.ph, c.pw); err != nil {
-		return nil, fmt.Errorf("conv3d %s: %w", c.W.Name, err)
-	}
+	wt := ws.Get(c.inC*c.kt*c.kh*c.kw, c.outC)
+	acc := ws.Get(n, c.outC)
 	out := ws.Get(c.outC, n)
-	if err := tensor.MatMulInto(out, c.W.Value, cols); err != nil {
+	if err := tensor.Conv3DInto(out, acc, wt, x, c.W.Value, c.B.Value, bn, c.kt, c.kh, c.kw, c.st, c.sh, c.sw, c.pt, c.ph, c.pw); err != nil {
 		return nil, fmt.Errorf("conv3d %s: %w", c.W.Name, err)
 	}
-	addBiasRows(out.Data, c.B.Value.Data, c.outC, n)
 	if x.Rank() == 4 {
 		out.Shape = append(out.Shape[:0], c.outC, ot, oh, ow)
 	} else {

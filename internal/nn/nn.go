@@ -51,8 +51,8 @@ func NewParam(name string, value *tensor.Tensor) *Param {
 // output buffers come from ws, no training caches are written, and
 // train-time behaviour (dropout) is the identity. Where Forward takes
 // [C,...] ForwardWS also accepts channel-major batches [C,N,...] with
-// the batch axis second, processing N samples in one pass (one im2col
-// + one matmul for the conv layers). Rank disambiguates; a
+// the batch axis second, processing N samples in one pass (one kernel call
+// per conv layer). Rank disambiguates; a
 // single-sample input gives Forward's output bit for bit.
 type Layer interface {
 	Forward(x *tensor.Tensor) (*tensor.Tensor, error)

@@ -28,8 +28,8 @@ import (
 //     allocated by the first Get of a pass, so a throwaway workspace
 //     never allocates one.
 //   - Contents are arbitrary after Get. Kernels that accumulate or
-//     skip positions (matmul, im2col padding) zero their destination
-//     themselves; everything else overwrites fully.
+//     skip positions (matmul, the direct conv, im2col padding) zero
+//     their destination themselves; everything else overwrites fully.
 type Workspace struct {
 	slab []float64
 	size int // slab length for the next pass: largest pass or reservation

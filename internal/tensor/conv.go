@@ -233,6 +233,151 @@ func im2col3dBatchRows(dstData, xData []float64, n, tn, h, w, kt, kh, kw, st, sh
 	}
 }
 
+// Conv3DInto is the eval-mode 3-D convolution: out = w ⊛ x + b with no
+// column matrix and no matmul. x is a channel-major batch [C,N,T,H,W]
+// (rank 4 [C,T,H,W] for n=1), w is [OC, C*KT*KH*KW] in im2col row
+// order p = (ci,kt,kh,kw), b is [OC], and out must be
+// [OC, N*OT*OH*OW]. wt [C*KT*KH*KW, OC] and acc [N*OT*OH*OW, OC] are
+// scratch: w is transposed into wt on every call, so weights written in
+// place (state loads, adaptation) are never stale.
+//
+// The kernel scatters each nonzero input value v into the outputs it
+// feeds: acc[j,:] += v·wt[p,:]. Input rows are walked in ascending
+// (ci,n,t,y) order, and a row's values in ascending x, so the terms of
+// any one output element arrive in ascending p — the order MatMulInto
+// accumulates W·Im2Col3D in — and the only terms skipped are products
+// with a zero input, which are ±0 and cannot change a sum that starts
+// at +0. For finite weights and inputs the result is therefore
+// bit-identical to the im2col path, while the work scales with the
+// input's nonzeros. It runs on the caller's goroutine: the serving
+// workers supply the parallelism.
+func Conv3DInto(out, acc, wt, x, w, b *Tensor, n, kt, kh, kw, st, sh, sw, pt, ph, pw int) error {
+	var c, tn, h, wd int
+	switch {
+	case x.Rank() == 5 && x.Shape[1] == n:
+		c, tn, h, wd = x.Shape[0], x.Shape[2], x.Shape[3], x.Shape[4]
+	case x.Rank() == 4 && n == 1:
+		c, tn, h, wd = x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	default:
+		return fmt.Errorf("tensor: conv3d batch needs [C,%d,T,H,W] input, got %v", n, x.Shape)
+	}
+	ot := ConvOutSize(tn, kt, st, pt)
+	oh := ConvOutSize(h, kh, sh, ph)
+	ow := ConvOutSize(wd, kw, sw, pw)
+	if ot <= 0 || oh <= 0 || ow <= 0 {
+		return fmt.Errorf("tensor: conv3d produces empty output for input %v kernel %dx%dx%d", x.Shape, kt, kh, kw)
+	}
+	k, cols := c*kt*kh*kw, n*ot*oh*ow
+	if w.Rank() != 2 || w.Shape[1] != k {
+		return fmt.Errorf("tensor: conv3d weights %v, want [OC,%d]", w.Shape, k)
+	}
+	oc := w.Shape[0]
+	switch {
+	case b.Len() != oc:
+		return fmt.Errorf("tensor: conv3d bias len %d, want %d", b.Len(), oc)
+	case out.Rank() != 2 || out.Shape[0] != oc || out.Shape[1] != cols:
+		return fmt.Errorf("tensor: conv3d out shape %v, want [%d,%d]", out.Shape, oc, cols)
+	case acc.Rank() != 2 || acc.Shape[0] != cols || acc.Shape[1] != oc:
+		return fmt.Errorf("tensor: conv3d acc shape %v, want [%d,%d]", acc.Shape, cols, oc)
+	case wt.Rank() != 2 || wt.Shape[0] != k || wt.Shape[1] != oc:
+		return fmt.Errorf("tensor: conv3d wt shape %v, want [%d,%d]", wt.Shape, k, oc)
+	}
+	for o := 0; o < oc; o++ {
+		for p, v := range w.Data[o*k : (o+1)*k] {
+			wt.Data[p*oc+o] = v
+		}
+	}
+	acc.Zero()
+	conv3dScatter(acc.Data, wt.Data, x.Data, c, n, tn, h, wd, kt, kh, kw, st, sh, sw, pt, ph, pw, ot, oh, ow, oc)
+	for o, bv := range b.Data {
+		row := out.Data[o*cols : (o+1)*cols]
+		for j := range row {
+			row[j] = acc.Data[j*oc+o] + bv
+		}
+	}
+	return nil
+}
+
+// conv3dScatter is the body of Conv3DInto: input rows (ci,n,t,y), then
+// the taps (kt,kh) that map the row onto an output row, then the row's
+// values, then the taps kw that map the value onto an output column.
+// For one output element the terms from one row arrive in ascending
+// input column, which is ascending kw. Only tapRange divides, once per
+// input frame and once per row; the output column is tracked as the
+// quotient and remainder of ix+pw by sw, stepped per input column.
+func conv3dScatter(acc, wt, x []float64, c, n, tn, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw, ot, oh, ow, oc int) {
+	q0, r0 := pw/sw, pw%sw
+	for cn := 0; cn < c*n; cn++ {
+		ci, ni := cn/n, cn%n
+		for t := 0; t < tn; t++ {
+			otLo, otHi := tapRange(t+pt, kt, st, ot)
+			for y := 0; y < h; y++ {
+				row := x[((cn*tn+t)*h+y)*w : ((cn*tn+t)*h+y+1)*w]
+				if otLo > otHi || allZero(row) {
+					continue
+				}
+				oyLo, oyHi := tapRange(y+ph, kh, sh, oh)
+				for oti := otHi; oti >= otLo; oti-- {
+					kti := t + pt - oti*st
+					for oyi := oyHi; oyi >= oyLo; oyi-- {
+						ki := y + ph - oyi*sh
+						accRow := acc[((ni*ot+oti)*oh+oyi)*ow*oc : ((ni*ot+oti)*oh+oyi+1)*ow*oc]
+						p0 := ((ci*kt+kti)*kh + ki) * kw
+						q, r := q0, r0
+						for _, v := range row {
+							if v != 0 {
+								for kj, ox := r, q; kj < kw && ox >= 0; kj, ox = kj+sw, ox-1 {
+									if ox >= ow {
+										continue
+									}
+									wrow := wt[(p0+kj)*oc : (p0+kj+1)*oc]
+									a := accRow[ox*oc : (ox+1)*oc]
+									a = a[:len(wrow)]
+									for o, wv := range wrow {
+										a[o] += v * wv
+									}
+								}
+							}
+							if r++; r == sw {
+								q, r = q+1, 0
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// tapRange returns the outputs [lo, hi] of one axis that input
+// position pos (padding included) feeds: 0 ≤ pos − o·s < k, 0 ≤ o < out.
+func tapRange(pos, k, s, out int) (lo, hi int) {
+	if s == 1 {
+		lo, hi = pos-k+1, pos
+	} else {
+		lo, hi = 0, pos/s
+		if pos >= k {
+			lo = (pos - k + s) / s
+		}
+	}
+	if lo < 0 {
+		lo = 0
+	}
+	if hi >= out {
+		hi = out - 1
+	}
+	return lo, hi
+}
+
+func allZero(s []float64) bool {
+	for _, v := range s {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Col2Im3D scatters a column matrix produced by Im2Col3D back into a
 // [C,T,H,W] tensor, accumulating overlaps; the adjoint of Im2Col3D.
 func Col2Im3D(cols *Tensor, c, tn, h, w, kt, kh, kw, st, sh, sw, pt, ph, pw int) (*Tensor, error) {

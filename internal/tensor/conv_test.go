@@ -204,7 +204,48 @@ func TestIm2Col3DMatchesDirectConv(t *testing.T) {
 			got := prod.MustReshape(tt.oc, ot, oh, ow)
 			want := conv3DRef(x, wt, tt.oc, tt.kt, tt.kh, tt.kw, tt.st, tt.sh, tt.sw, tt.pt, tt.ph, tt.pw)
 			assertClose(t, got, want, 1e-10)
+
+			direct := New(tt.oc, ot*oh*ow)
+			err = Conv3DInto(direct, New(ot*oh*ow, tt.oc), New(wt.Shape[1], tt.oc), x, wt, New(tt.oc),
+				1, tt.kt, tt.kh, tt.kw, tt.st, tt.sh, tt.sw, tt.pt, tt.ph, tt.pw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertClose(t, direct.MustReshape(tt.oc, ot, oh, ow), want, 1e-10)
 		})
+	}
+}
+
+// TestConv3DIntoShapeErrors checks that every mis-shaped operand of the
+// direct conv is refused rather than indexed out of range.
+func TestConv3DIntoShapeErrors(t *testing.T) {
+	// A 3×3×3 kernel, stride 1, padding 1 on a [2,4,4,4] input: 64
+	// outputs, 54 weights per output channel, 3 output channels.
+	x, w, b := New(2, 4, 4, 4), New(3, 54), New(3)
+	out, acc, wt := New(3, 64), New(64, 3), New(54, 3)
+	conv := func(out, acc, wt, x, w, b *Tensor) error {
+		return Conv3DInto(out, acc, wt, x, w, b, 1, 3, 3, 3, 1, 1, 1, 1, 1, 1)
+	}
+	if err := conv(out, acc, wt, x, w, b); err != nil {
+		t.Fatalf("well-shaped operands refused: %v", err)
+	}
+	tests := []struct {
+		name string
+		err  error
+	}{
+		{"input rank", conv(out, acc, wt, New(2, 4, 4), w, b)},
+		{"batch size", conv(out, acc, wt, New(2, 2, 4, 4, 4), w, b)},
+		{"kernel larger than input", Conv3DInto(out, acc, wt, x, w, b, 1, 7, 3, 3, 1, 1, 1, 0, 1, 1)},
+		{"weights", conv(out, acc, wt, x, New(3, 27), b)},
+		{"bias", conv(out, acc, wt, x, w, New(2))},
+		{"out", conv(New(64, 3), acc, wt, x, w, b)},
+		{"acc", conv(out, New(3, 64), wt, x, w, b)},
+		{"wt", conv(out, acc, New(3, 54), x, w, b)},
+	}
+	for _, tt := range tests {
+		if tt.err == nil {
+			t.Errorf("%s: mis-shaped operand accepted", tt.name)
+		}
 	}
 }
 

@@ -1,8 +1,12 @@
 package video
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -251,4 +255,55 @@ func TestCloneWeightsProducesIndependentReplica(t *testing.T) {
 	if after != want {
 		t.Fatal("mutating the clone changed the source model")
 	}
+}
+
+// predictAllocsChildEnv marks the re-executed test binary that measures
+// the single-proc allocation count.
+const predictAllocsChildEnv = "SAFECROSS_PREDICT_ALLOCS_CHILD"
+
+// TestPredictWSAllocsIndependentOfProcs checks that a warm N=1 SlowFast
+// PredictWS allocates the same count at the host's GOMAXPROCS as at
+// GOMAXPROCS=1. The tensor kernels size their pool from GOMAXPROCS at
+// start-up, so the test re-runs itself in a child process with
+// GOMAXPROCS=1. A difference means some eval-path kernel split an N=1
+// pass over the kernel pool, handing it a closure and a WaitGroup.
+func TestPredictWSAllocsIndependentOfProcs(t *testing.T) {
+	m, err := NewSlowFast(DefaultSlowFastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTrain(false)
+	clip := tensor.RandnTensor(rand.New(rand.NewSource(3)), 1, 1, 32, 10, 16)
+	ws := nn.NewWorkspace()
+	predict := func() {
+		if _, err := PredictWS(m, clip, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predict()
+	predict()
+	allocs := testing.AllocsPerRun(20, predict)
+	if os.Getenv(predictAllocsChildEnv) != "" {
+		fmt.Printf("allocs=%v\n", allocs)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestPredictWSAllocsIndependentOfProcs$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=1", predictAllocsChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=1 child: %v\n%s", err, out)
+	}
+	var single float64
+	i := bytes.Index(out, []byte("allocs="))
+	if i < 0 {
+		t.Fatalf("GOMAXPROCS=1 child printed no count:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(string(out[i:]), "allocs=%v", &single); err != nil {
+		t.Fatalf("GOMAXPROCS=1 child count: %v\n%s", err, out)
+	}
+	if allocs != single {
+		t.Fatalf("warm N=1 PredictWS allocates %v times at GOMAXPROCS=%d, %v at GOMAXPROCS=1",
+			allocs, runtime.GOMAXPROCS(0), single)
+	}
+	t.Logf("warm N=1 PredictWS: %v allocations at GOMAXPROCS=%d and at 1", allocs, runtime.GOMAXPROCS(0))
 }

@@ -80,8 +80,8 @@ func (m *C3D) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // ForwardBatch stacks n clips into a channel-major [1,N,T,H,W] tensor
-// and runs the whole network once: each conv is one im2col + matmul
-// for the batch, the global pool emits [N,C] and the head [N,Classes].
+// and runs the whole network once: each conv is one direct
+// convolution for the batch, the global pool emits [N,C] and the head [N,Classes].
 // Scratch comes from ws; the returned logits are fresh per-clip
 // tensors, bit-identical to the eval-mode Forward on each clip.
 func (m *C3D) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {

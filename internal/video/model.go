@@ -27,7 +27,7 @@ type Classifier interface {
 	SetTrain(train bool)
 	// ForwardBatch maps n [1,T,H,W] clips to n rank-1 logit tensors,
 	// bit-identical to calling the eval-mode Forward per clip, in one
-	// pass (one im2col + one matmul per conv layer for the batch).
+	// pass (one direct convolution per conv layer for the batch).
 	// Scratch comes from ws, which must be owned by the calling
 	// goroutine; the returned logits are fresh tensors that stay valid
 	// after the workspace is reset or reused. With Name and SetTrain

@@ -214,7 +214,7 @@ func (m *SlowFast) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 // ForwardBatch runs n clips through one two-pathway pass: the clips
 // are stacked into a channel-major [1,N,T,H,W] tensor so each conv
-// stage is one im2col + one matmul for the whole batch. Scratch comes
+// stage is one direct convolution for the whole batch. Scratch comes
 // from ws; the returned logits are fresh per-clip tensors,
 // bit-identical to the eval-mode Forward on each clip.
 func (m *SlowFast) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tensor.Tensor, error) {

@@ -179,7 +179,7 @@ func Train(m Classifier, clips []*dataset.Clip, cfg TrainConfig) (*TrainResult, 
 }
 
 // evalChunk caps how many clips one batched eval forward carries:
-// large enough to amortise the per-batch im2col/matmul setup, small
+// large enough to amortise the per-batch kernel setup, small
 // enough that eval peak memory stays close to the serving plane's.
 const evalChunk = 8
 
