@@ -50,7 +50,8 @@ bench-smoke:
 
 # bench-json measures the per-frame hot paths (the camera front end —
 # scene detection and VP — the Conv3D eval kernel at SlowFast's five
-# shapes, batched Fig8 inference, the serving plane, detector eval, and
+# shapes, the full and the streaming SlowFast forward over a sliding
+# clip, batched Fig8 inference, the serving plane, detector eval, and
 # few-shot adaptation) with allocation tracking and records them in
 # BENCH_infer.json; the file's
 # previous contents roll into a "previous" field, so each refresh
@@ -58,8 +59,8 @@ bench-smoke:
 # path (a bad -bench regex) fail the target instead of writing a
 # report with a hole in it.
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkFig3_VPPipeline|BenchmarkSceneDetect|BenchmarkConv3DEval|BenchmarkFig8_SlowFastInference|BenchmarkServe|BenchmarkFewshotAdapt' -benchmem . && \
-	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkDetectEval' -benchmem . ; } | $(GO) run ./cmd/benchjson -out BENCH_infer.json -require 'BenchmarkFig3_VPPipeline/process,BenchmarkFig3_VPPipeline/framework-warm,BenchmarkSceneDetect,BenchmarkConv3DEval,BenchmarkFig8_SlowFastInference,BenchmarkServe_MultiIntersection,BenchmarkDetectEval,BenchmarkFewshotAdapt'
+	{ $(GO) test -run '^$$' -bench 'BenchmarkFig3_VPPipeline|BenchmarkSceneDetect|BenchmarkConv3DEval|BenchmarkSlowFastStream|BenchmarkFig8_SlowFastInference|BenchmarkServe|BenchmarkFewshotAdapt' -benchmem . && \
+	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkDetectEval' -benchmem . ; } | $(GO) run ./cmd/benchjson -out BENCH_infer.json -require 'BenchmarkFig3_VPPipeline/process,BenchmarkFig3_VPPipeline/framework-warm,BenchmarkSceneDetect,BenchmarkConv3DEval,BenchmarkSlowFastStream/full,BenchmarkSlowFastStream/stream,BenchmarkFig8_SlowFastInference,BenchmarkServe_MultiIntersection,BenchmarkDetectEval,BenchmarkFewshotAdapt'
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json): all three
 # workloads on the whole fleet topology, untraced then traced, on two
@@ -113,14 +114,17 @@ fleet-smoke:
 # the rsu wire-message decode/validate/re-encode round trip (seeded by
 # the committed corpus under internal/rsu/testdata/fuzz), the
 # control-plane WAL replayer (arbitrary byte soup must never panic and
-# recovery must be idempotent) and the zero-skipping Conv3D eval forward
-# (bit-identical to the im2col + matmul Forward on any geometry).
+# recovery must be idempotent), the zero-skipping Conv3D eval forward
+# (bit-identical to the im2col + matmul Forward on any geometry) and the
+# streaming SlowFast forward (== to the full forward on any window
+# sequence).
 # Seconds, not minutes — enough to catch a property regression; leave
 # the fuzzer running longer by hand to hunt new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMessageRoundTrip -fuzztime 5s ./internal/rsu/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 5s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzConv3DEvalMatchesForward -fuzztime 5s ./internal/nn/
+	$(GO) test -run '^$$' -fuzz FuzzForwardStreamMatchesForward -fuzztime 5s ./internal/video/
 
 # verify is the extended gate: everything must compile, lint clean, and
 # pass the full suite under the race detector (the serving and RSU

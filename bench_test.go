@@ -442,6 +442,97 @@ func BenchmarkConv3DEval(b *testing.B) {
 	}
 }
 
+// BenchmarkSlowFastStream times one window of a sliding clip through
+// the trained T = 32 Day model: the windows slide one frame at a time
+// over real VP grids of a seeded Day world, as a framework's clip ring
+// does. "full" runs the whole forward every window (ForwardBatch of one
+// clip, what video.PredictWS runs); "stream" runs ForwardStream through
+// one Stream, which computes only the early conv frames the previous
+// windows did not. The windows loop, so the stream re-anchors once per
+// pass over them (anchors/op). Both must give == logits on every window
+// before anything is timed.
+func BenchmarkSlowFastStream(b *testing.B) {
+	slowFastConvInputs(b) // trains the T = 32 models once
+	m, ok := t32TM.Models[sim.Day].(*video.SlowFast)
+	if !ok {
+		b.Fatalf("the Day model is a %T, not a SlowFast", t32TM.Models[sim.Day])
+	}
+	m.SetTrain(false)
+	windows := slidingVPClips(b, m.Config().T, 240)
+
+	ws := nn.NewWorkspace()
+	var st video.Stream
+	for _, clip := range windows {
+		want, err := m.ForwardBatch([]*tensor.Tensor{clip}, ws)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := m.ForwardStream(&st, clip, ws)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k, v := range want[0].Data {
+			if got.Data[k] != v {
+				b.Fatalf("streamed logit %d is %v, full forward gives %v", k, got.Data[k], v)
+			}
+		}
+		ws.Reset()
+	}
+
+	b.Run("full", func(b *testing.B) {
+		clips := make([]*tensor.Tensor, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clips[0] = windows[i%len(windows)]
+			if _, err := m.ForwardBatch(clips, ws); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		var st video.Stream
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.ForwardStream(&st, windows[i%len(windows)], ws); err != nil {
+				b.Fatal(err)
+			}
+			ws.Reset()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(st.Anchors)/float64(b.N), "anchors/op")
+	})
+}
+
+// slidingVPClips renders a seeded Day world, runs every frame through
+// VP (after a few frames that prime the background model) and returns
+// n clips of t grids, each one frame later than the last.
+func slidingVPClips(b *testing.B, t, n int) []*tensor.Tensor {
+	b.Helper()
+	const prime = 8
+	frames := sim.NewWorld(sim.Config{Weather: sim.Day, TruckPresent: true, Seed: 1}).RunFrames(prime + t + n - 1)
+	vp := vision.NewPreprocessor(vision.DefaultVPConfig())
+	grids := make([]*vision.Image, len(frames))
+	for i, f := range frames {
+		g, err := vp.Process(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		grids[i] = g
+	}
+	grids = grids[prime:]
+	clips := make([]*tensor.Tensor, n)
+	for i := range clips {
+		clip, err := vision.ClipTensor(grids[i : i+t])
+		if err != nil {
+			b.Fatal(err)
+		}
+		clips[i] = clip
+	}
+	return clips
+}
+
 // slowFastConvs are the Conv3D layers of the default SlowFast
 // (internal/video), named as its parameters are.
 var slowFastConvs = []struct {

@@ -23,12 +23,22 @@ func testTimings() Timings {
 
 func waitFor(t *testing.T, what string, pred func() bool) {
 	t.Helper()
+	waitForExplained(t, what, pred, nil)
+}
+
+// waitForExplained is waitFor that, on timeout, adds detail() — the
+// state that explains the wait — to the failure.
+func waitForExplained(t *testing.T, what string, pred func() bool, detail func() string) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if pred() {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	if detail != nil {
+		t.Fatalf("timed out waiting for %s: %s", what, detail())
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }

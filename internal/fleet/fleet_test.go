@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -103,7 +104,18 @@ func TestFleetFailover(t *testing.T) {
 			n.srv.Close()
 		}
 	}()
-	waitFor(t, "full disjoint coverage over 3 nodes", func() bool {
+	// Coverage alone also holds while the third node has yet to join
+	// the assignment: two nodes can cover every key. The victim is
+	// picked from the assignment below, so wait until it is settled —
+	// all three nodes live in it and every agent at its epoch — or a
+	// later rebalance can move target off the victim before the kill.
+	waitFor(t, "a settled assignment over 3 nodes", func() bool {
+		states, epoch := coord.States(), coord.Epoch()
+		for _, n := range nodes {
+			if st, ok := states[n.id]; !ok || st != Live || n.agent.Epoch() != epoch {
+				return false
+			}
+		}
 		return coverage(nodes, keys)
 	})
 
@@ -136,23 +148,43 @@ func TestFleetFailover(t *testing.T) {
 		t.Fatalf("DialRetry: %v", err)
 	}
 	defer cli.Close()
-	var advisories, afterKill atomic.Int64
-	var killed atomic.Bool
+	// afterReconnect counts only advisories read once the client has
+	// re-attached: ones the dead server sent before it died can still
+	// sit in the client's buffer after the kill.
+	var advisories, afterReconnect atomic.Int64
+	var server atomic.Value // the Addr of the last welcome: the client's current server
 	go func() {
 		for msg := range cli.Messages() {
+			if msg.Type == rsu.TypeWelcome {
+				server.Store(msg.Addr)
+			}
 			if msg.Type != rsu.TypeAdvisory || msg.Intersection != target {
 				continue
 			}
 			advisories.Add(1)
-			if killed.Load() {
-				afterKill.Add(1)
+			if cli.Reconnects() >= 1 {
+				afterReconnect.Add(1)
 			}
 		}
 	}()
-	waitFor(t, "advisories before the kill", func() bool { return advisories.Load() >= 3 })
+	// where says, on a timed-out wait, which server the client is on and
+	// which node the coordinator has serving target.
+	where := func() string {
+		on, owner := fmt.Sprint(server.Load()), coord.Assignments()[target]
+		for _, n := range nodes {
+			if n.srv.Addr() == on {
+				on += " (" + n.id + ")"
+			}
+			if n.id == owner {
+				owner += " at " + n.srv.Addr()
+			}
+		}
+		return fmt.Sprintf("client on %s after %d reconnects, %d advisories (%d after a reconnect); coordinator owner of %d is %s",
+			on, cli.Reconnects(), advisories.Load(), afterReconnect.Load(), target, owner)
+	}
+	waitForExplained(t, "advisories before the kill", func() bool { return advisories.Load() >= 3 }, where)
 
 	// Crash the victim: agent and rsu server die together, no drain.
-	killed.Store(true)
 	victim.agent.Close()
 	victim.srv.Close()
 
@@ -162,7 +194,7 @@ func TestFleetFailover(t *testing.T) {
 	if got := reg.Counter("fleet_failovers_total", "").Value(); got != 1 {
 		t.Fatalf("failovers = %d; want 1", got)
 	}
-	waitFor(t, "advisories after the kill", func() bool { return afterKill.Load() >= 3 })
+	waitForExplained(t, "advisories after the reconnect", func() bool { return afterReconnect.Load() >= 3 }, where)
 	if cli.Err() != nil {
 		t.Fatalf("client hit terminal error: %v", cli.Err())
 	}

@@ -378,6 +378,60 @@ func (c *Conv3D) ForwardWS(x *tensor.Tensor, ws *Workspace) (*tensor.Tensor, err
 	return out, nil
 }
 
+// ForwardFramesWS returns output frames [j0, j0+n) of what ForwardWS
+// returns for the [InC,T,H,W] input x, as a [OutC,n,OH,OW] workspace
+// tensor, bit for bit. It copies the input frames those outputs read
+// into a slab whose temporal padding is written out as zeros and
+// convolves the slab with no temporal padding: the direct kernel skips
+// the zero rows either way, and the surviving terms of each output
+// arrive in the same ascending-p order.
+func (c *Conv3D) ForwardFramesWS(x *tensor.Tensor, j0, n int, ws *Workspace) (*tensor.Tensor, error) {
+	if x.Rank() != 4 || x.Shape[0] != c.inC {
+		return nil, fmt.Errorf("conv3d %s: input shape %v, want [%d,T,H,W]", c.W.Name, x.Shape, c.inC)
+	}
+	t, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
+	ot := tensor.ConvOutSize(t, c.kt, c.st, c.pt)
+	oh := tensor.ConvOutSize(h, c.kh, c.sh, c.ph)
+	ow := tensor.ConvOutSize(w, c.kw, c.sw, c.pw)
+	if ot <= 0 || oh <= 0 || ow <= 0 {
+		return nil, fmt.Errorf("conv3d %s: kernel %dx%dx%d too large for input %v", c.W.Name, c.kt, c.kh, c.kw, x.Shape)
+	}
+	if j0 < 0 || n < 1 || j0+n > ot {
+		return nil, fmt.Errorf("conv3d %s: frames [%d,%d) outside the %d output frames", c.W.Name, j0, j0+n, ot)
+	}
+	span, first, spat := (n-1)*c.st+c.kt, j0*c.st-c.pt, h*w
+	slab := ws.Get(c.inC, span, h, w)
+	for ci := 0; ci < c.inC; ci++ {
+		for i := 0; i < span; i++ {
+			dst := slab.Data[(ci*span+i)*spat : (ci*span+i+1)*spat]
+			if f := first + i; f >= 0 && f < t {
+				copy(dst, x.Data[(ci*t+f)*spat:])
+			} else {
+				clear(dst)
+			}
+		}
+	}
+	m := n * oh * ow
+	wt := ws.Get(c.inC*c.kt*c.kh*c.kw, c.outC)
+	acc := ws.Get(m, c.outC)
+	out := ws.Get(c.outC, m)
+	if err := tensor.Conv3DInto(out, acc, wt, slab, c.W.Value, c.B.Value, 1, c.kt, c.kh, c.kw, c.st, c.sh, c.sw, 0, c.ph, c.pw); err != nil {
+		return nil, fmt.Errorf("conv3d %s: %w", c.W.Name, err)
+	}
+	out.Shape = append(out.Shape[:0], c.outC, n, oh, ow)
+	return out, nil
+}
+
+// Config returns the layer's geometry.
+func (c *Conv3D) Config() Conv3DConfig {
+	return Conv3DConfig{
+		InC: c.inC, OutC: c.outC,
+		KT: c.kt, KH: c.kh, KW: c.kw,
+		ST: c.st, SH: c.sh, SW: c.sw,
+		PT: c.pt, PH: c.ph, PW: c.pw,
+	}
+}
+
 // Params returns the weight and bias parameters.
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 

@@ -108,6 +108,29 @@ func FuzzConv3DEvalMatchesForward(f *testing.F) {
 			ws.Reset()
 			want[i] = ref
 		}
+		// Any run of output frames, padding-touching ones included, must
+		// equal those frames of the whole-volume forward.
+		ot := want[0].Shape[1]
+		frame := want[0].Len() / (cfg.OutC * ot)
+		for k := 0; k < 4; k++ {
+			j0 := rng.Intn(ot)
+			nf := 1 + rng.Intn(ot-j0)
+			if k == 0 {
+				j0, nf = 0, ot
+			}
+			got, err := c.ForwardFramesWS(xs[0], j0, nf, ws)
+			if err != nil {
+				t.Fatalf("%+v frames [%d,%d): %v", cfg, j0, j0+nf, err)
+			}
+			for o := 0; o < cfg.OutC; o++ {
+				assertBitIdentical(t, "frames",
+					got.Data[o*nf*frame:(o+1)*nf*frame], want[0].Data[(o*ot+j0)*frame:(o*ot+j0+nf)*frame])
+			}
+			ws.Reset()
+		}
+		if _, err := c.ForwardFramesWS(xs[0], ot-1, 2, ws); err == nil {
+			t.Fatalf("%+v: frames past the output accepted", cfg)
+		}
 		got, err := c.ForwardWS(batch, ws)
 		if err != nil {
 			t.Fatalf("%+v batch %v: %v", cfg, batch.Shape, err)

@@ -123,7 +123,9 @@ func ConcatChannelsWS(ws *Workspace, a, b *tensor.Tensor) (*tensor.Tensor, error
 			return nil, fmt.Errorf("nn: concat dims differ at axis %d: %v vs %v", i, a.Shape, b.Shape)
 		}
 	}
-	shape := append([]int{a.Shape[0] + b.Shape[0]}, a.Shape[1:]...)
+	// The shape is built on the stack: a warm concat allocates nothing.
+	var buf [8]int
+	shape := append(append(buf[:0], a.Shape[0]+b.Shape[0]), a.Shape[1:]...)
 	out := ws.Get(shape...)
 	copy(out.Data, a.Data)
 	copy(out.Data[len(a.Data):], b.Data)

@@ -26,8 +26,8 @@
 // Config.AgingBound so saturation cannot starve it.
 //
 // Dynamic batching coalesces queued inputs for the same scene and
-// class into one batched forward pass, flushing a batch when it
-// reaches MaxBatch or when its oldest member has waited BatchLatency.
+// class into one batch, flushing it when it reaches MaxBatch or when
+// its oldest member has waited BatchLatency.
 // Batch sizing is adaptive: the scheduler keeps a target in
 // [1, MaxBatch] that tracks observed queue depth per worker — gated
 // on the per-batch compute p50 being heavy enough to amortise batch
@@ -40,11 +40,21 @@
 //
 // The plane is engine-keyed: workers dispatch through the inference
 // engine (infer.Model / infer.PredictBatch), so any model implementing
-// the contract serves from the same workers.
+// the contract serves from the same workers, one batched forward pass
+// per batch. A SlowFast batch is the exception: the worker streams it
+// (video.Stream), running each clip through the stream it keeps for
+// that clip's buffer — the framework's persistent clip tensor, one per
+// intersection — so the early convolutions compute only the frames
+// the buffer's previous window could not. The stream checks every
+// window's content and the model's weights before it reuses anything,
+// so its verdicts are the full forward's; each worker keeps at most
+// streamCap streams, evicting the least recently used. The simulated
+// GPU is still charged the full forward.
+//
 // Each worker owns one nn.Workspace for its whole life: a single
 // scratch slab, reserved for a MaxBatch pass after the worker's first
-// batch, so no later forward pass allocates scratch. The workers'
-// workspace hit/miss counters land in the telemetry registry.
+// batched pass, so no later forward pass allocates scratch. The
+// workers' workspace hit/miss counters land in the telemetry registry.
 //
 // Each worker owns a private replica of every scene model (forward
 // passes carry mutable state, so replicas are mandatory for

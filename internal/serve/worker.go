@@ -13,6 +13,7 @@ import (
 	"safecross/internal/sim"
 	"safecross/internal/telemetry"
 	"safecross/internal/tensor"
+	"safecross/internal/video"
 )
 
 // worker is one GPU-attached serving process: a private replica of
@@ -31,9 +32,18 @@ type worker struct {
 	models map[sim.Weather]infer.Model
 
 	// ws is the worker's scratch slab; wsGets and wsMisses are its
-	// counters as last exported to the registry.
+	// counters as last exported to the registry, and reserved records
+	// that a batched pass has sized it for MaxBatch clips.
 	ws               *nn.Workspace
 	wsGets, wsMisses int
+	reserved         bool
+
+	// streams holds the streaming-forward state of the clip buffers this
+	// worker has classified with a SlowFast model. clips and labels are
+	// the per-batch buffers, reused from batch to batch.
+	streams streamTable
+	clips   []*tensor.Tensor
+	labels  []int
 
 	// virtualNow mirrors the device clock (nanoseconds) after each
 	// batch so Stats can read it without racing the worker.
@@ -111,12 +121,14 @@ func (w *worker) reportIdle(s *Server) {
 }
 
 // syncWorkspace exports the workspace counters' growth since the last
-// batch and, after the worker's first batch of n clips, reserves the
-// slab for a MaxBatch pass. Scratch is linear in the batch for every
+// batch and, after the worker's first batched pass of n clips, reserves
+// the slab for a MaxBatch pass. Scratch is linear in the batch for every
 // served stack, so no later batch size allocates; a stack that is not
-// linear grows the slab once more and is still correct.
+// linear grows the slab once more and is still correct. Streamed
+// batches (n = 0) run one clip per pass, so the slab already fits them.
 func (w *worker) syncWorkspace(s *Server, n int) {
-	if w.wsGets == 0 {
+	if n > 0 && !w.reserved {
+		w.reserved = true
 		w.ws.Reserve((w.ws.Size() + n - 1) / n * s.cfg.MaxBatch)
 	}
 	s.metrics.wsHits.Add(int64((w.ws.Gets - w.wsGets) - (w.ws.Misses - w.wsMisses)))
@@ -124,11 +136,41 @@ func (w *worker) syncWorkspace(s *Server, n int) {
 	w.wsGets, w.wsMisses = w.ws.Gets, w.ws.Misses
 }
 
+// classify labels the batch's clips in request order. A SlowFast model
+// runs each clip through the stream the worker keeps for its buffer
+// (video.Stream): the logits are == to the batched forward's, but the
+// early convolutions reuse the frames earlier windows of that buffer
+// computed. Any other model runs one batched forward.
+func (w *worker) classify(s *Server, model infer.Model, b *batch) ([]int, error) {
+	if sf, ok := model.(*video.SlowFast); ok {
+		w.labels = w.labels[:0]
+		defer w.syncWorkspace(s, 0)
+		for _, p := range b.reqs {
+			logits, err := sf.ForwardStream(w.streams.get(p.req.Clip), p.req.Clip, w.ws)
+			if err != nil {
+				w.ws.Reset()
+				return nil, fmt.Errorf("infer: %s streamed forward: %w", sf.Name(), err)
+			}
+			w.labels = append(w.labels, nn.Predict(logits))
+			w.ws.Reset()
+		}
+		return w.labels, nil
+	}
+	for _, p := range b.reqs {
+		w.clips = append(w.clips, p.req.Clip)
+	}
+	labels, err := infer.PredictBatch(model, w.clips, w.ws)
+	w.syncWorkspace(s, len(w.clips))
+	clear(w.clips) // the buffers are the submitters' again
+	w.clips = w.clips[:0]
+	return labels, err
+}
+
 // serveBatch activates the batch's scene model (a PipeSwitch load —
 // possibly evicting LRU residents — when the worker does not hold
-// it), runs one batched forward pass, and delivers a verdict to every
-// request. Any failure is delivered as an explicit error — a taken
-// batch never vanishes.
+// it), classifies the batch, and delivers a verdict to every request.
+// Any failure is delivered as an explicit error — a taken batch never
+// vanishes.
 func (w *worker) serveBatch(s *Server, b *batch) {
 	rep, err := w.mgr.Activate(b.scene.String())
 	if err != nil {
@@ -136,13 +178,8 @@ func (w *worker) serveBatch(s *Server, b *batch) {
 		return
 	}
 	switchEnd := time.Now()
-	clips := make([]*tensor.Tensor, len(b.reqs))
-	for i, p := range b.reqs {
-		clips[i] = p.req.Clip
-	}
-	labels, err := infer.PredictBatch(w.models[b.scene], clips, w.ws)
+	labels, err := w.classify(s, w.models[b.scene], b)
 	computeWall := time.Since(switchEnd)
-	w.syncWorkspace(s, len(clips))
 	if err != nil {
 		w.failBatch(s, b, fmt.Errorf("serve: classify %v batch: %w", b.scene, err))
 		return
@@ -150,14 +187,16 @@ func (w *worker) serveBatch(s *Server, b *batch) {
 
 	// Charge the batch to the simulated GPU: FLOPs scale with the
 	// batch, kernel launches are paid once (the batching win), on the
-	// same timeline the switch just advanced.
+	// same timeline the switch just advanced. The charge is the full
+	// forward's FLOPs even for streamed clips: the paper's GPU does not
+	// stream.
 	manifest, ok := w.mgr.ModelFor(b.scene.String())
 	if !ok {
 		w.failBatch(s, b, fmt.Errorf("serve: no manifest for scene %v", b.scene))
 		return
 	}
 	dev := w.mgr.Device()
-	start, done := dev.InferAt(dev.Now(), manifest.TotalFLOPs(), len(manifest.Layers), len(clips))
+	start, done := dev.InferAt(dev.Now(), manifest.TotalFLOPs(), len(manifest.Layers), len(b.reqs))
 	virtCompute := done - start
 	w.virtualNow.Store(int64(dev.Now()))
 	computeEnd := time.Now()
@@ -208,4 +247,49 @@ func (w *worker) failBatch(s *Server, b *batch, err error) {
 	for _, p := range b.reqs {
 		s.reject(p, err)
 	}
+}
+
+// streamCap bounds the streams a worker keeps, one per clip buffer it
+// has classified; the least recently used is handed to a new buffer.
+// A stream holds ≈ 0.25 MiB for the default T = 32 SlowFast on the
+// 10×16 grid.
+const streamCap = 32
+
+// streamTable maps clip buffers to their streams. It belongs to one
+// worker, so it needs no lock.
+type streamTable struct {
+	entries []streamEntry
+	clock   uint64
+}
+
+type streamEntry struct {
+	clip *tensor.Tensor
+	last uint64 // clock of the last get
+	st   *video.Stream
+}
+
+// get returns clip's stream, taking over the least recently used one
+// once the table is full. A stream that changes hands keeps its memory;
+// its content check decides, as for any window, whether anything it
+// holds is reused.
+func (t *streamTable) get(clip *tensor.Tensor) *video.Stream {
+	t.clock++
+	lru := -1
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.clip == clip {
+			e.last = t.clock
+			return e.st
+		}
+		if lru < 0 || e.last < t.entries[lru].last {
+			lru = i
+		}
+	}
+	if len(t.entries) < streamCap {
+		t.entries = append(t.entries, streamEntry{clip: clip, last: t.clock, st: new(video.Stream)})
+		return t.entries[len(t.entries)-1].st
+	}
+	e := &t.entries[lru]
+	e.clip, e.last = clip, t.clock
+	return e.st
 }

@@ -68,14 +68,20 @@ func sampleTemporal(x *tensor.Tensor, stride, offset int) (*tensor.Tensor, error
 
 // sampleTemporalBatch is sampleTemporal for a channel-major batch: it
 // extracts every stride-th frame from a [C,N,T,H,W] tensor into a
-// [C,N,T/stride,H,W] workspace buffer. Per sample it selects exactly
-// the frames sampleTemporal would, so the batched slow pathway sees
-// bit-identical inputs.
+// [C,N,T/stride,H,W] workspace buffer (a rank-4 [C,T,H,W] input is one
+// sample and yields rank 4). Per sample it selects exactly the frames
+// sampleTemporal would, so the batched slow pathway sees bit-identical
+// inputs.
 func sampleTemporalBatch(ws *nn.Workspace, x *tensor.Tensor, stride, offset int) (*tensor.Tensor, error) {
-	if x.Rank() != 5 {
-		return nil, fmt.Errorf("video: batched temporal sample needs [C,N,T,H,W], got %v", x.Shape)
+	var c, n, t, h, w int
+	switch x.Rank() {
+	case 4:
+		c, n, t, h, w = x.Shape[0], 1, x.Shape[1], x.Shape[2], x.Shape[3]
+	case 5:
+		c, n, t, h, w = x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
+	default:
+		return nil, fmt.Errorf("video: batched temporal sample needs [C,(N,)T,H,W], got %v", x.Shape)
 	}
-	c, n, t, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], x.Shape[4]
 	if stride <= 0 || offset < 0 || offset >= stride {
 		return nil, fmt.Errorf("video: bad temporal sampling stride=%d offset=%d", stride, offset)
 	}
@@ -83,7 +89,12 @@ func sampleTemporalBatch(ws *nn.Workspace, x *tensor.Tensor, stride, offset int)
 		return nil, fmt.Errorf("video: T=%d not divisible by stride %d", t, stride)
 	}
 	ot := t / stride
-	out := ws.Get(c, n, ot, h, w)
+	var out *tensor.Tensor
+	if x.Rank() == 4 {
+		out = ws.Get(c, ot, h, w)
+	} else {
+		out = ws.Get(c, n, ot, h, w)
+	}
 	spat := h * w
 	for p := 0; p < c*n; p++ {
 		src := x.Data[p*t*spat:]

@@ -53,6 +53,10 @@ type SlowFast struct {
 	gapFast *nn.GlobalAvgPool3D
 	headFC  *nn.Linear
 
+	// The convolutions inside fast and slow, which the streaming
+	// forward drives one by one.
+	fastConv1, fastConv2, slowConv1 *nn.Conv3D
+
 	slowCh, latCh, fastCh int
 
 	// Forward caches for the custom backward pass.
@@ -89,28 +93,23 @@ func NewSlowFast(cfg SlowFastConfig) (*SlowFast, error) {
 	// Fast pathway: high frame rate, thin channels. The second conv
 	// strides time by 2 to keep cost bounded while retaining 2× the
 	// slow pathway's temporal resolution at its output.
-	m.fast = nn.NewSequential(
-		nn.NewConv3D("fast.conv1", nn.Conv3DConfig{
-			InC: 1, OutC: 3, KT: 3, KH: 3, KW: 3,
-			ST: 1, SH: 2, SW: 2, PT: 1, PH: 1, PW: 1,
-		}, rng),
-		nn.NewReLU(),
-		nn.NewConv3D("fast.conv2", nn.Conv3DConfig{
-			InC: 3, OutC: slowFastFastCh, KT: 3, KH: 3, KW: 3,
-			ST: 2, SH: 1, SW: 1, PT: 1, PH: 1, PW: 1,
-		}, rng),
-		nn.NewReLU(),
-	)
+	m.fastConv1 = nn.NewConv3D("fast.conv1", nn.Conv3DConfig{
+		InC: 1, OutC: 3, KT: 3, KH: 3, KW: 3,
+		ST: 1, SH: 2, SW: 2, PT: 1, PH: 1, PW: 1,
+	}, rng)
+	m.fastConv2 = nn.NewConv3D("fast.conv2", nn.Conv3DConfig{
+		InC: 3, OutC: slowFastFastCh, KT: 3, KH: 3, KW: 3,
+		ST: 2, SH: 1, SW: 1, PT: 1, PH: 1, PW: 1,
+	}, rng)
+	m.fast = nn.NewSequential(m.fastConv1, nn.NewReLU(), m.fastConv2, nn.NewReLU())
 	// Slow pathway: low frame rate, wide channels, spatial-only
 	// kernels in the stem (the paper notes slow stems avoid temporal
 	// convolution).
-	m.slow = nn.NewSequential(
-		nn.NewConv3D("slow.conv1", nn.Conv3DConfig{
-			InC: 1, OutC: slowFastSlowCh, KT: 1, KH: 3, KW: 3,
-			ST: 1, SH: 2, SW: 2, PT: 0, PH: 1, PW: 1,
-		}, rng),
-		nn.NewReLU(),
-	)
+	m.slowConv1 = nn.NewConv3D("slow.conv1", nn.Conv3DConfig{
+		InC: 1, OutC: slowFastSlowCh, KT: 1, KH: 3, KW: 3,
+		ST: 1, SH: 2, SW: 2, PT: 0, PH: 1, PW: 1,
+	}, rng)
+	m.slow = nn.NewSequential(m.slowConv1, nn.NewReLU())
 	fuseIn := slowFastSlowCh
 	if cfg.Lateral {
 		// Fast output has T/2 frames; the lateral conv time-strides by
@@ -244,14 +243,29 @@ func (m *SlowFast) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tenso
 		return nil, fmt.Errorf("slowfast slow pathway: %w", err)
 	}
 
-	fused := slowOut
+	var lat *tensor.Tensor
 	if m.cfg.Lateral {
-		lat, err := m.lateral.ForwardWS(fastOut, ws)
-		if err != nil {
+		if lat, err = m.lateral.ForwardWS(fastOut, ws); err != nil {
 			return nil, fmt.Errorf("slowfast lateral: %w", err)
 		}
-		fused, err = nn.ConcatChannelsWS(ws, slowOut, lat)
-		if err != nil {
+	}
+	logits, err := m.classify(slowOut, lat, fastOut, n, ws)
+	if err != nil {
+		return nil, err
+	}
+	return splitLogits(logits, n), nil
+}
+
+// classify is the shared tail of the eval forwards: it fuses the slow
+// pathway with the lateral features (nil without lateral connections),
+// runs the fuse block, pools both branches and applies the head to n
+// clips, returning [N,Classes] workspace logits. The inputs are
+// channel-major, rank 5 for a batch or rank 4 for one clip.
+func (m *SlowFast) classify(slowOut, lat, fastOut *tensor.Tensor, n int, ws *nn.Workspace) (*tensor.Tensor, error) {
+	fused := slowOut
+	if lat != nil {
+		var err error
+		if fused, err = nn.ConcatChannelsWS(ws, slowOut, lat); err != nil {
 			return nil, fmt.Errorf("slowfast concat: %w", err)
 		}
 	}
@@ -280,7 +294,7 @@ func (m *SlowFast) ForwardBatch(xs []*tensor.Tensor, ws *nn.Workspace) ([]*tenso
 	if err != nil {
 		return nil, fmt.Errorf("slowfast head: %w", err)
 	}
-	return splitLogits(logits, n), nil
+	return logits, nil
 }
 
 // Backward propagates the logits gradient through head, both
