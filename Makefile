@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test race bench bench-smoke bench-json bench-e2e bench-e2e-smoke obs-smoke slo-smoke fleet-smoke fuzz-smoke verify
+.PHONY: build vet staticcheck test race bench bench-smoke bench-json bench-gate bench-e2e bench-e2e-smoke obs-smoke slo-smoke fleet-smoke fuzz-smoke verify
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,15 @@ bench-smoke:
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkFig3_VPPipeline|BenchmarkSceneDetect|BenchmarkConv3DEval|BenchmarkSlowFastStream|BenchmarkFig8_SlowFastInference|BenchmarkServe|BenchmarkFewshotAdapt' -benchmem . && \
 	  GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkDetectEval' -benchmem . ; } | $(GO) run ./cmd/benchjson -out BENCH_infer.json -require 'BenchmarkFig3_VPPipeline/process,BenchmarkFig3_VPPipeline/framework-warm,BenchmarkSceneDetect,BenchmarkConv3DEval,BenchmarkSlowFastStream/full,BenchmarkSlowFastStream/stream,BenchmarkFig8_SlowFastInference,BenchmarkServe_MultiIntersection,BenchmarkDetectEval,BenchmarkFewshotAdapt'
+
+# bench-gate fails when a per-frame hot path allocates more per op
+# than BENCH_infer.json records: the streaming and full SlowFast
+# forward, the Conv3D eval kernel, the camera front end and scene
+# detection, at a fixed iteration count so a one-time cost is spread
+# the same way on every run. Only allocs/op is gated; ns/op on a
+# shared host is too noisy for a hard bound.
+bench-gate:
+	$(GO) test -run '^$$' -bench 'BenchmarkSlowFastStream|BenchmarkConv3DEval|BenchmarkFig3_VPPipeline|BenchmarkSceneDetect' -benchmem -benchtime=200x . | $(GO) run ./cmd/benchjson -compare BENCH_infer.json
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json): all three
 # workloads on the whole fleet topology, untraced then traced, on two
@@ -130,9 +139,10 @@ fuzz-smoke:
 # pass the full suite under the race detector (the serving and RSU
 # planes are concurrent by design; -race covers the sharded telemetry
 # counters too), plus a single-iteration pass over the serving and
-# front-end benchmarks, the end-to-end benchmark's smoke, the
+# front-end benchmarks, the hot paths' allocation gate, the end-to-end
+# benchmark's smoke, the
 # observability / SLO / fleet-failover smoke tests (slo-smoke folds
 # obs-smoke and fleet-smoke in, so listing it here covers all three
 # without re-running any of them), and a short burst of every fuzz
 # target.
-verify: build vet staticcheck race bench-smoke bench-e2e-smoke slo-smoke fuzz-smoke
+verify: build vet staticcheck race bench-smoke bench-gate bench-e2e-smoke slo-smoke fuzz-smoke

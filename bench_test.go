@@ -704,8 +704,8 @@ func BenchmarkFewshotAdapt(b *testing.B) {
 // BenchmarkServe_MultiIntersection drives the inference-serving plane
 // with concurrent intersection feeds, comparing the per-clip
 // single-GPU baseline against the dynamically batched multi-GPU
-// configuration and a bursty 16-feed overload that exercises the
-// adaptive batch-target growth. Throughput is reported in virtual GPU
+// configuration and a bursty 16-feed overload whose clips queue behind
+// busy workers and coalesce into batches. Throughput is reported in virtual GPU
 // time (virt-clip/s), which is deterministic and independent of host
 // core count; wall-clock clips/s is the standard benchmark metric.
 func BenchmarkServe_MultiIntersection(b *testing.B) {
@@ -799,11 +799,7 @@ func BenchmarkServe_MultiIntersection(b *testing.B) {
 			b.ReportMetric(st.VirtualThroughput(), "virt-clip/s")
 			b.ReportMetric(float64(st.P99.Microseconds()), "p99-µs")
 			b.ReportMetric(st.MeanBatch(), "mean-batch")
-			// The adaptive batch-sizing series: the live early-seal
-			// target plus its high-water mark, and the workers'
-			// workspace reuse split. Under the burst config the target must react
-			// to queue depth, so its max rises above 1.
-			b.ReportMetric(float64(st.BatchTargetMax), "batch-target-max")
+			// The workers' workspace reuse split.
 			b.ReportMetric(float64(st.WorkspaceHits-warm.WorkspaceHits)/float64(b.N), "ws-hits/op")
 			b.ReportMetric(float64(st.WorkspaceMisses-warm.WorkspaceMisses)/float64(b.N), "ws-misses/op")
 			b.ReportMetric(float64(st.Switches-warm.Switches)/float64(b.N), "switches/op")

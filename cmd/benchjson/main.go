@@ -10,6 +10,14 @@
 // each match at least one parsed benchmark; a run that silently skips
 // a hot path (e.g. a typo in the -bench regex) then fails loudly
 // instead of writing a report with a hole in it.
+//
+// With -compare, nothing is written: every parsed row is checked
+// against the same-named row of a committed report, and the command
+// exits non-zero if any row allocates more per op than the committed
+// value, or has no committed row to check against. Names match with the
+// -GOMAXPROCS suffix dropped, so a report from one host gates another:
+//
+//	go test -run '^$' -bench BenchmarkConv3DEval -benchmem -benchtime=200x . | go run ./cmd/benchjson -compare BENCH_infer.json
 package main
 
 import (
@@ -18,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -108,7 +117,31 @@ func missingRequired(require string, benches []Benchmark) []string {
 	return missing
 }
 
-func run(out, require string) error {
+// procSuffix is the -GOMAXPROCS suffix go test appends to a name.
+var procSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// allocRegressions lists the rows of got that allocate more per op
+// than their committed row in base, or that have no committed row.
+func allocRegressions(base, got []Benchmark) []string {
+	committed := make(map[string]float64, len(base))
+	for _, b := range base {
+		committed[procSuffix.ReplaceAllString(b.Name, "")] = b.AllocsPerOp
+	}
+	var bad []string
+	for _, b := range got {
+		name := procSuffix.ReplaceAllString(b.Name, "")
+		want, ok := committed[name]
+		switch {
+		case !ok:
+			bad = append(bad, fmt.Sprintf("%s: no committed row", name))
+		case b.AllocsPerOp > want:
+			bad = append(bad, fmt.Sprintf("%s: %g allocs/op, committed %g", name, b.AllocsPerOp, want))
+		}
+	}
+	return bad
+}
+
+func run(out, require, compare string) error {
 	var benches []Benchmark
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -127,6 +160,22 @@ func run(out, require string) error {
 	}
 	if missing := missingRequired(require, benches); len(missing) > 0 {
 		return fmt.Errorf("benchjson: required benchmarks missing from input: %s", strings.Join(missing, ", "))
+	}
+
+	if compare != "" {
+		raw, err := os.ReadFile(compare)
+		if err != nil {
+			return fmt.Errorf("benchjson: %w", err)
+		}
+		var base Report
+		if err := json.Unmarshal(raw, &base); err != nil {
+			return fmt.Errorf("benchjson: %s: %w", compare, err)
+		}
+		if bad := allocRegressions(base.Benchmarks, benches); len(bad) > 0 {
+			return fmt.Errorf("benchjson: allocations above %s:\n  %s", compare, strings.Join(bad, "\n  "))
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks within %s allocs/op\n", len(benches), compare)
+		return nil
 	}
 
 	rep := Report{
@@ -157,8 +206,9 @@ func run(out, require string) error {
 func main() {
 	out := flag.String("out", "BENCH_infer.json", "output JSON file")
 	require := flag.String("require", "", "comma-separated name substrings that must each match a parsed benchmark, else exit non-zero")
+	compare := flag.String("compare", "", "committed report to gate allocs/op against; nothing is written")
 	flag.Parse()
-	if err := run(*out, *require); err != nil {
+	if err := run(*out, *require, *compare); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

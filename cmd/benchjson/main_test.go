@@ -49,3 +49,36 @@ func TestParseLineRejectsNonBenchmarkLines(t *testing.T) {
 		}
 	}
 }
+
+func TestAllocRegressions(t *testing.T) {
+	base := []Benchmark{
+		{Name: "BenchmarkConv3DEval/fast.conv1/real-2"},
+		{Name: "BenchmarkSlowFastStream/full-2", AllocsPerOp: 4},
+	}
+	got := []Benchmark{
+		{Name: "BenchmarkConv3DEval/fast.conv1/real-8"},
+		{Name: "BenchmarkSlowFastStream/full-8", AllocsPerOp: 3},
+	}
+	if bad := allocRegressions(base, got); bad != nil {
+		t.Fatalf("rows at or under their committed allocs reported %v", bad)
+	}
+	got = append(got,
+		Benchmark{Name: "BenchmarkSlowFastStream/stream-8"},
+		Benchmark{Name: "BenchmarkConv3DEval/fuse.conv1/real-8", AllocsPerOp: 1},
+	)
+	got[1].AllocsPerOp = 5
+	bad := allocRegressions(base, got)
+	want := []string{
+		"BenchmarkSlowFastStream/full: 5 allocs/op, committed 4",
+		"BenchmarkSlowFastStream/stream: no committed row",
+		"BenchmarkConv3DEval/fuse.conv1/real: no committed row",
+	}
+	if len(bad) != len(want) {
+		t.Fatalf("regressions = %q, want %q", bad, want)
+	}
+	for i := range want {
+		if bad[i] != want[i] {
+			t.Fatalf("regressions = %q, want %q", bad, want)
+		}
+	}
+}

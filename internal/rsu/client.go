@@ -370,8 +370,11 @@ func (c *Client) stream(conn net.Conn, dec *json.Decoder) string {
 	if c.retry != nil {
 		tracer = c.retry.Tracer
 	}
+	// One message is decoded into per connection, zeroed before each
+	// Decode so no field of the previous message survives.
+	var msg Message
 	for {
-		var msg Message
+		msg = Message{}
 		if err := dec.Decode(&msg); err != nil {
 			return ""
 		}

@@ -196,12 +196,11 @@ func (s *Server) SetRoutes(epoch int64, owned []int, table map[int]string) {
 	s.table = tableCopy
 }
 
-// routeFor resolves a subscribe for an intersection: ok means this
-// node serves it; otherwise addr is the owner to redirect to (empty
-// when no owner is known, e.g. no surviving nodes).
-func (s *Server) routeFor(intersection int) (addr string, epoch int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// routeForLocked resolves a subscribe for an intersection: ok means
+// this node serves it; otherwise addr is the owner to redirect to
+// (empty when no owner is known, e.g. no surviving nodes). Callers
+// hold s.mu.
+func (s *Server) routeForLocked(intersection int) (addr string, epoch int64, ok bool) {
 	if s.owned == nil || intersection <= 0 || s.owned[intersection] {
 		return "", s.routeEpoch, true
 	}
@@ -241,7 +240,30 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	joinStart := time.Now()
 	enc := json.NewEncoder(conn)
-	if addr, epoch, ok := s.routeFor(sub.Intersection); !ok {
+	c := &clientConn{
+		vehicle: sub.Vehicle,
+		watch:   sub.Intersection,
+		conn:    conn,
+		out:     make(chan outMsg, clientQueueDepth),
+		stop:    make(chan struct{}),
+	}
+	// The route check and the registration share one lock hold, so a
+	// shard move (SetRoutes, then RedirectIntersection) either lands
+	// before it, and the vehicle is redirected here, or after it, and
+	// the redirect finds the vehicle registered.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	addr, epoch, ok := s.routeForLocked(sub.Intersection)
+	if ok {
+		s.clients[c] = struct{}{}
+		s.metrics.subscribed.Inc()
+	}
+	s.mu.Unlock()
+	if !ok {
 		// Wrong node: point the vehicle at the owner and hang up. An
 		// unknown owner (no survivors hold the shard yet) still closes
 		// the connection — the client's retry loop keeps probing seeds.
@@ -257,22 +279,6 @@ func (s *Server) handle(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	c := &clientConn{
-		vehicle: sub.Vehicle,
-		watch:   sub.Intersection,
-		conn:    conn,
-		out:     make(chan outMsg, clientQueueDepth),
-		stop:    make(chan struct{}),
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	s.clients[c] = struct{}{}
-	s.metrics.subscribed.Inc()
-	s.mu.Unlock()
 	s.log.Infof("rsu: vehicle %q subscribed from %s", c.vehicle, conn.RemoteAddr())
 
 	if err := enc.Encode(Message{Type: TypeWelcome, Vehicle: c.vehicle, Intersection: c.watch, Addr: s.Addr()}); err != nil {
@@ -287,10 +293,14 @@ func (s *Server) handle(conn net.Conn) {
 	joinTrace.Span("welcome", joinStart, now)
 	joinTrace.Terminal("subscribed", now)
 	joinTrace.Finish()
+	// cur is the message being written: encoding through one pointer
+	// per connection boxes nothing per message.
+	var cur Message
 	for {
 		select {
 		case m := <-c.out:
-			if err := enc.Encode(m.msg); err != nil {
+			cur = m.msg
+			if err := enc.Encode(&cur); err != nil {
 				s.drop(c)
 				return
 			}

@@ -29,16 +29,14 @@ type serveMetrics struct {
 	aged          *telemetry.Counter
 
 	// Batching and model-residency churn.
-	batches        *telemetry.Counter
-	batchedClips   *telemetry.Counter
-	warmBatches    *telemetry.Counter
-	switches       *telemetry.Counter
-	evictions      *telemetry.Counter
-	reloads        *telemetry.Counter
-	maxBatch       *telemetry.Gauge
-	batchSize      *telemetry.Histogram
-	batchTarget    *telemetry.Gauge
-	batchTargetMax *telemetry.Gauge
+	batches      *telemetry.Counter
+	batchedClips *telemetry.Counter
+	warmBatches  *telemetry.Counter
+	switches     *telemetry.Counter
+	evictions    *telemetry.Counter
+	reloads      *telemetry.Counter
+	maxBatch     *telemetry.Gauge
+	batchSize    *telemetry.Histogram
 
 	// Latency decomposition over completed requests. queueWait is
 	// submit→bucket, batchWait bucket→dispatch, compute the batched
@@ -77,16 +75,14 @@ func newServeMetrics(reg *telemetry.Registry) serveMetrics {
 		sloViolations: reg.Counter("serve_slo_violations_total", "completed requests whose latency exceeded their deadline"),
 		aged:          reg.Counter("serve_aged_total", "routine requests promoted to critical dispatch by aging"),
 
-		batches:        reg.Counter("serve_batches_total", "batched forward passes"),
-		batchedClips:   reg.Counter("serve_batched_clips_total", "clips carried by batched forward passes"),
-		warmBatches:    reg.Counter("serve_warm_batches_total", "batches routed to a worker already holding the scene model"),
-		switches:       reg.Counter("serve_switches_total", "batches that triggered a PipeSwitch model load"),
-		evictions:      reg.Counter("serve_evictions_total", "models evicted from worker memory under pressure"),
-		reloads:        reg.Counter("serve_reloads_total", "loads that brought back a previously evicted model"),
-		maxBatch:       reg.Gauge("serve_max_batch", "largest batch observed"),
-		batchSize:      reg.Histogram("serve_batch_size", "clips per batched forward pass", telemetry.UnitCount),
-		batchTarget:    reg.Gauge("serve_batch_target", "adaptive early-seal batch target derived from queue depth"),
-		batchTargetMax: reg.Gauge("serve_batch_target_max", "largest adaptive batch target reached"),
+		batches:      reg.Counter("serve_batches_total", "batched forward passes"),
+		batchedClips: reg.Counter("serve_batched_clips_total", "clips carried by batched forward passes"),
+		warmBatches:  reg.Counter("serve_warm_batches_total", "batches routed to a worker already holding the scene model"),
+		switches:     reg.Counter("serve_switches_total", "batches that triggered a PipeSwitch model load"),
+		evictions:    reg.Counter("serve_evictions_total", "models evicted from worker memory under pressure"),
+		reloads:      reg.Counter("serve_reloads_total", "loads that brought back a previously evicted model"),
+		maxBatch:     reg.Gauge("serve_max_batch", "largest batch observed"),
+		batchSize:    reg.Histogram("serve_batch_size", "clips per batched forward pass", telemetry.UnitCount),
 
 		queueWait:    reg.Histogram("serve_queue_wait_seconds", "admission-queue wait before bucketing", telemetry.UnitSeconds),
 		batchWait:    reg.Histogram("serve_batch_wait_seconds", "wait inside the batch until a worker took it", telemetry.UnitSeconds),

@@ -25,18 +25,16 @@
 // aging rule promotes any Routine batch that has waited past
 // Config.AgingBound so saturation cannot starve it.
 //
-// Dynamic batching coalesces queued inputs for the same scene and
-// class into one batch, flushing it when it reaches MaxBatch or when
-// its oldest member has waited BatchLatency.
-// Batch sizing is adaptive: the scheduler keeps a target in
-// [1, MaxBatch] that tracks observed queue depth per worker — gated
-// on the per-batch compute p50 being heavy enough to amortise batch
-// formation — and seals a bucket early at the target whenever an idle
-// worker is waiting, so a shallow queue dispatches immediately while
-// a deep one forms full batches without the latency-timer stall. The
-// scheduler routes a sealed batch to a worker where the scene's model
-// is already resident when one is idle, and only triggers a
-// PipeSwitch load when no warm worker exists.
+// Dispatch is work-conserving: whenever a worker is idle, every
+// non-empty bucket seals at once, so no clip waits for batch-mates a
+// free worker could run without. Dynamic batching still coalesces the
+// clips of one scene and class that queue while every worker is busy:
+// such a bucket seals at MaxBatch, or when its oldest member has
+// waited BatchLatency, or as soon as a worker frees. A batch pays the
+// simulated GPU's kernel launches once (gpusim.InferAt), which is what
+// batching buys. The scheduler routes a sealed batch to a worker where
+// the scene's model is already resident when one is idle, and only
+// triggers a PipeSwitch load when no warm worker exists.
 //
 // The plane is engine-keyed: workers dispatch through the inference
 // engine (infer.Model / infer.PredictBatch), so any model implementing
@@ -122,12 +120,14 @@ type Config struct {
 	// Workers is the number of simulated GPUs (default 2).
 	Workers int
 	// MaxBatch is the largest batch one forward pass may carry
-	// (default 8; 1 disables batching). It is the upper bound of the
-	// adaptive batch target the scheduler derives from queue depth.
+	// (default 8; 1 disables batching): a bucket seals the moment it
+	// holds MaxBatch clips.
 	MaxBatch int
-	// BatchLatency is the longest a queued clip may wait for
-	// batch-mates before its batch is flushed anyway (default 2ms;
-	// 0 flushes every batch immediately).
+	// BatchLatency bounds how long a bucket grows behind busy workers:
+	// once its oldest clip has waited this long the bucket seals and
+	// queues for the next free worker, and later clips start a new
+	// bucket (default 2ms). It never delays a clip while a worker is
+	// idle: an idle worker seals every bucket at once.
 	BatchLatency time.Duration
 	// QueueDepth bounds the admission queue (default 64).
 	QueueDepth int

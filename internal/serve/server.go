@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,22 +74,23 @@ type batch struct {
 func (b *batch) urgent() bool { return b.critical || b.promoted }
 
 // idleNote is a worker's report that it is free, with its resident
-// model set so the scheduler can route warm under memory pressure.
+// model set so the scheduler can route warm under memory pressure, and
+// the worker's previous batch, fully delivered, for the scheduler to
+// reuse (nil on the worker's first report).
 type idleNote struct {
 	worker   int
-	resident []sim.Weather
+	resident sceneSet
+	spent    *batch
 }
 
-// holds reports whether the worker had the scene's model resident
-// when it went idle.
-func (n idleNote) holds(scene sim.Weather) bool {
-	for _, s := range n.resident {
-		if s == scene {
-			return true
-		}
-	}
-	return false
-}
+// sceneSet is a set of scenes as a bitmask, bit w for sim.Weather w.
+// Every scene this plane serves is below 64; a scene that were not
+// would only ever read as absent, which routes it cold.
+type sceneSet uint64
+
+func (m sceneSet) has(w sim.Weather) bool { return m&(1<<uint(w)) != 0 }
+
+func (m *sceneSet) add(w sim.Weather) { *m |= 1 << uint(w) }
 
 // Server is the inference-serving plane.
 type Server struct {
@@ -339,13 +341,16 @@ func (s *Server) release(n int) {
 	s.mu.Unlock()
 }
 
-// drainIntake takes the admission queue from Submit.
-func (s *Server) drainIntake() []*pending {
+// drainIntake takes the admission queue from Submit, leaving spare —
+// the queue the scheduler took last time, emptied — in its place, so
+// admission appends into a slice that has already grown.
+func (s *Server) drainIntake(spare []*pending) []*pending {
+	clear(spare)
 	s.mu.Lock()
-	batch := s.intake
-	s.intake = nil
+	taken := s.intake
+	s.intake = spare[:0]
 	s.mu.Unlock()
-	return batch
+	return taken
 }
 
 // Close stops admission, fails all queued requests with ErrClosed,
@@ -367,8 +372,8 @@ func (s *Server) Close() error {
 
 // Drain gracefully quiesces the serving plane: admission stops
 // immediately (Submit returns ErrClosed), but everything already
-// admitted keeps flowing — open buckets seal on their batch-latency
-// timers, in-flight batches compute, and every verdict is delivered —
+// admitted keeps flowing — open buckets seal as workers free, in-flight
+// batches compute, and every verdict is delivered —
 // before the machinery shuts down. When ctx ends first, the remaining
 // queued requests are failed with ErrClosed by the normal shutdown
 // path and ctx.Err() is returned. This is the planned-handoff half of
@@ -434,7 +439,8 @@ type bucketKey struct {
 }
 
 // bucket accumulates same-scene, same-class requests until sealed
-// into a batch.
+// into a batch. A bucket stays in the scheduler's map once made; it is
+// open while it holds requests.
 type bucket struct {
 	reqs  []*pending
 	first time.Time
@@ -444,6 +450,11 @@ type bucket struct {
 // state. All sends it performs are non-blocking by construction
 // (worker channels are only written after an idle report; capacities
 // cover the rest), so it can never deadlock against workers.
+//
+// Dispatch is work-conserving: while a worker is idle, every open
+// bucket seals at once, so no clip waits for batch-mates a free worker
+// could run without. Buckets grow only behind busy workers, sealing at
+// MaxBatch or when their oldest member has waited BatchLatency.
 func (s *Server) schedule() {
 	defer s.wg.Done()
 
@@ -453,6 +464,11 @@ func (s *Server) schedule() {
 	for i := range s.workers {
 		idle = append(idle, idleNote{worker: i})
 	}
+	// free holds delivered batches for reuse, and intake the admission
+	// queue taken last time: in steady state the scheduler allocates
+	// nothing per batch.
+	var free []*batch
+	var intake []*pending
 
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -460,49 +476,39 @@ func (s *Server) schedule() {
 	}
 	timerSet := false
 
-	seal := func(key bucketKey) {
-		b := buckets[key]
-		delete(buckets, key)
-		ready = append(ready, &batch{scene: key.scene, critical: key.critical, reqs: b.reqs})
+	// seal moves an open bucket's requests into a batch on the ready
+	// queue. The batch takes the bucket's slice and hands the bucket
+	// its own emptied one.
+	seal := func(key bucketKey, bk *bucket) {
+		var b *batch
+		if n := len(free); n > 0 {
+			b, free = free[n-1], free[:n-1]
+		} else {
+			b = new(batch)
+		}
+		spare := b.reqs[:0]
+		*b = batch{scene: key.scene, critical: key.critical, reqs: bk.reqs}
+		bk.reqs = spare
+		ready = append(ready, b)
 	}
 
-	// target is the adaptive early-seal batch size in [1, MaxBatch]:
-	// when an idle worker is waiting, a bucket that has reached it
-	// seals immediately instead of stalling on the latency timer. It
-	// tracks observed queue depth per worker — growing straight to
-	// demand under a backlog (gated on the per-batch compute p50 being
-	// heavy enough to amortise batch formation) and decaying toward 1
-	// when the queue is shallow, so an idle plane dispatches singles
-	// with no formation wait. Buckets accumulating behind busy workers
-	// still seal at MaxBatch or on the timer, exactly as before.
-	target := 1
-	s.metrics.batchTarget.Set(int64(target))
-	s.metrics.batchTargetMax.SetMax(int64(target))
-	adapt := func() {
-		s.mu.Lock()
-		queued := s.inflight
-		s.mu.Unlock()
-		var p50 time.Duration
-		if s.metrics.compute.Count() > 0 {
-			p50 = s.metrics.compute.QuantileDuration(0.5)
-		}
-		next := adaptTarget(target, queued, len(s.workers), s.cfg.MaxBatch, p50, s.cfg.BatchLatency)
-		if next != target {
-			target = next
-			s.metrics.batchTarget.Set(int64(target))
-			s.metrics.batchTargetMax.SetMax(int64(target))
+	// recycle keeps a delivered batch for a later seal.
+	recycle := func(b *batch) {
+		if b != nil {
+			b.reqs = b.reqs[:0]
+			clear(b.reqs[:cap(b.reqs)])
+			free = append(free, b)
 		}
 	}
 
-	// sealAtTarget seals every bucket that has reached the adaptive
-	// target while an idle worker is waiting for it.
-	sealAtTarget := func() {
+	// sealIfIdle seals every open bucket while an idle worker waits.
+	sealIfIdle := func() {
 		if len(idle) == 0 {
 			return
 		}
-		for key, b := range buckets {
-			if len(b.reqs) >= target {
-				seal(key)
+		for key, bk := range buckets {
+			if len(bk.reqs) > 0 {
+				seal(key, bk)
 			}
 		}
 	}
@@ -519,8 +525,11 @@ func (s *Server) schedule() {
 			timerSet = false
 		}
 		var next time.Time
-		for _, b := range buckets {
-			d := b.first.Add(s.cfg.BatchLatency)
+		for _, bk := range buckets {
+			if len(bk.reqs) == 0 {
+				continue
+			}
+			d := bk.first.Add(s.cfg.BatchLatency)
 			if next.IsZero() || d.Before(next) {
 				next = d
 			}
@@ -573,7 +582,7 @@ func (s *Server) schedule() {
 					first = i
 				}
 				for j, n := range idle {
-					if n.holds(b.scene) {
+					if n.resident.has(b.scene) {
 						return i, j
 					}
 				}
@@ -581,7 +590,7 @@ func (s *Server) schedule() {
 			if first >= 0 {
 				coldest := 0
 				for j, n := range idle {
-					if len(n.resident) < len(idle[coldest].resident) {
+					if bits.OnesCount64(uint64(n.resident)) < bits.OnesCount64(uint64(idle[coldest].resident)) {
 						coldest = j
 					}
 				}
@@ -606,7 +615,7 @@ func (s *Server) schedule() {
 			ready = append(ready[:bi], ready[bi+1:]...)
 			note := idle[wi]
 			idle = append(idle[:wi], idle[wi+1:]...)
-			b.warm = note.holds(b.scene)
+			b.warm = note.resident.has(b.scene)
 
 			kept := b.reqs[:0]
 			for _, p := range b.reqs {
@@ -628,6 +637,7 @@ func (s *Server) schedule() {
 			b.reqs = kept
 			if len(b.reqs) == 0 {
 				idle = append(idle, note)
+				recycle(b)
 				continue
 			}
 			s.release(len(b.reqs))
@@ -635,36 +645,45 @@ func (s *Server) schedule() {
 		}
 	}
 
-	// admit buckets freshly submitted requests, sealing full batches —
-	// at MaxBatch always, and at the adaptive target when an idle
-	// worker is waiting.
+	// takeIdle records a worker's idle report and keeps the batch it
+	// returns.
+	takeIdle := func(n idleNote) {
+		recycle(n.spent)
+		idle = append(idle, n)
+	}
+
+	// admit buckets freshly submitted requests, sealing a bucket at
+	// MaxBatch always, and every open bucket while a worker is idle.
 	admit := func() {
 		// Routing sees every worker that has posted its idle note. A
 		// worker posts it before delivering verdicts, so a caller that
 		// resubmits at once finds its warm worker free. Only this
 		// goroutine receives, so the receive cannot block.
 		for len(s.idleCh) > 0 {
-			idle = append(idle, <-s.idleCh)
+			takeIdle(<-s.idleCh)
 		}
-		adapt()
 		now := time.Now()
-		for _, p := range s.drainIntake() {
+		intake = s.drainIntake(intake)
+		for _, p := range intake {
 			if p.state.Load() != statePending {
 				continue // cancelled or shed before bucketing
 			}
 			p.bucketed = now
 			key := bucketKey{scene: p.req.Scene, critical: p.prio == Critical}
-			b := buckets[key]
-			if b == nil {
-				b = &bucket{first: now}
-				buckets[key] = b
+			bk := buckets[key]
+			if bk == nil {
+				bk = &bucket{}
+				buckets[key] = bk
 			}
-			b.reqs = append(b.reqs, p)
-			if len(b.reqs) >= s.cfg.MaxBatch {
-				seal(key)
+			if len(bk.reqs) == 0 {
+				bk.first = now
+			}
+			bk.reqs = append(bk.reqs, p)
+			if len(bk.reqs) >= s.cfg.MaxBatch {
+				seal(key, bk)
 			}
 		}
-		sealAtTarget()
+		sealIfIdle()
 	}
 
 	// fail claims and rejects a queued request at shutdown; requests
@@ -686,20 +705,19 @@ func (s *Server) schedule() {
 		case <-timer.C:
 			timerSet = false
 			now := time.Now()
-			for key, b := range buckets {
-				if !now.Before(b.first.Add(s.cfg.BatchLatency)) {
-					seal(key)
+			for key, bk := range buckets {
+				if len(bk.reqs) > 0 && !now.Before(bk.first.Add(s.cfg.BatchLatency)) {
+					seal(key, bk)
 				}
 			}
 			dispatch()
 			resetTimer()
 
 		case n := <-s.idleCh:
-			idle = append(idle, n)
-			// A worker just freed: take in everything submitted so far,
-			// re-derive the target from current depth, and hand it any
-			// bucket that has already earned a batch, rather than
-			// stalling it on the latency timer.
+			takeIdle(n)
+			// A worker just freed: take in everything submitted so far
+			// and hand it whatever is queued, rather than stalling it
+			// on the latency timer.
 			admit()
 			dispatch()
 			resetTimer()
@@ -707,7 +725,7 @@ func (s *Server) schedule() {
 		case <-s.stopCh:
 			// Fail everything not yet handed to a worker; in-flight
 			// batches still deliver their verdicts.
-			for _, p := range s.drainIntake() {
+			for _, p := range s.drainIntake(intake) {
 				fail(p)
 			}
 			for _, b := range buckets {

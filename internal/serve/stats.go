@@ -42,12 +42,11 @@ type Stats struct {
 	// Batches is the number of batched forward passes; BatchedClips
 	// the clips they carried; MaxBatch the largest batch observed.
 	Batches, BatchedClips, MaxBatch int
-	// BatchTarget is the scheduler's current adaptive early-seal batch
-	// size, derived from queue depth per worker and bounded by
-	// Config.MaxBatch; BatchTargetMax is the largest target the run
-	// reached — the adaptation's high-water mark, stable after the
-	// backlog drains and the live target decays back toward 1.
-	BatchTarget, BatchTargetMax int
+	// BatchTargetMax always reads 1: dispatch is work-conserving, so a
+	// bucket seals for an idle worker at one clip. It remains for
+	// readers of the field from before the adaptive early-seal target
+	// was removed.
+	BatchTargetMax int
 	// WorkspaceHits and WorkspaceMisses are the workers' workspace Get
 	// counters: hits were carved from a worker's scratch slab, misses
 	// outgrew it and allocated. Misses stop after each worker's first
@@ -177,8 +176,7 @@ func (s *Server) Stats() Stats {
 		Batches:        snap.Int("serve_batches_total"),
 		BatchedClips:   snap.Int("serve_batched_clips_total"),
 		MaxBatch:       snap.Int("serve_max_batch"),
-		BatchTarget:    snap.Int("serve_batch_target"),
-		BatchTargetMax: snap.Int("serve_batch_target_max"),
+		BatchTargetMax: 1,
 
 		WorkspaceHits:   snap.Int("infer_workspace_hits_total"),
 		WorkspaceMisses: snap.Int("infer_workspace_misses_total"),

@@ -45,6 +45,10 @@ type worker struct {
 	clips   []*tensor.Tensor
 	labels  []int
 
+	// spent is the batch this worker delivered last; its next idle
+	// report hands it back to the scheduler for reuse.
+	spent *batch
+
 	// virtualNow mirrors the device clock (nanoseconds) after each
 	// batch so Stats can read it without racing the worker.
 	virtualNow atomic.Int64
@@ -92,13 +96,13 @@ func newWorker(id int, factory ModelFactory, memoryBytes int64, reg *telemetry.R
 	}, nil
 }
 
-// residentScenes lists the scenes whose models currently sit in this
-// worker's device memory, for the scheduler's warm-routing mirror.
-func (w *worker) residentScenes() []sim.Weather {
-	out := make([]sim.Weather, 0, len(w.models))
+// residentScenes is the set of scenes whose models currently sit in
+// this worker's device memory, for the scheduler's warm-routing mirror.
+func (w *worker) residentScenes() sceneSet {
+	var out sceneSet
 	for scene := range w.models {
 		if w.mgr.Resident(scene.String()) {
-			out = append(out, scene)
+			out.add(scene)
 		}
 	}
 	return out
@@ -109,6 +113,7 @@ func (w *worker) run(s *Server) {
 	defer s.wg.Done()
 	for b := range w.ch {
 		w.serveBatch(s, b)
+		w.spent = b
 	}
 }
 
@@ -117,7 +122,8 @@ func (w *worker) run(s *Server) {
 // resubmits as soon as its verdict arrives finds this worker — and the
 // model it holds — already free.
 func (w *worker) reportIdle(s *Server) {
-	s.idleCh <- idleNote{worker: w.id, resident: w.residentScenes()}
+	s.idleCh <- idleNote{worker: w.id, resident: w.residentScenes(), spent: w.spent}
+	w.spent = nil
 }
 
 // syncWorkspace exports the workspace counters' growth since the last

@@ -1,5 +1,7 @@
 package vision
 
+import "encoding/binary"
+
 // Morphological operators on binary images with a square structuring
 // element. The paper's VP module applies opening (erosion then
 // dilation) to remove camera noise while preserving vehicle blobs:
@@ -52,18 +54,30 @@ func (m *mask) image() *Image {
 	return out
 }
 
-// andRun and orRun fold a run of mask bytes into dst.
+// andRun and orRun fold a run of mask bytes into dst, eight bytes per
+// operation and the tail bytewise. AND and OR act on each bit alone, so
+// folding whole words is exact.
 
 func andRun(dst, a []uint8) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		d := dst[i : i+8 : i+8]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)&binary.LittleEndian.Uint64(a[i:i+8:i+8]))
+	}
+	for ; i < len(dst); i++ {
 		dst[i] &= a[i]
 	}
 }
 
 func orRun(dst, a []uint8) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		d := dst[i : i+8 : i+8]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)|binary.LittleEndian.Uint64(a[i:i+8:i+8]))
+	}
+	for ; i < len(dst); i++ {
 		dst[i] |= a[i]
 	}
 }

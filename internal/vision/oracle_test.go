@@ -317,10 +317,14 @@ func TestFusedVPTinyFrame(t *testing.T) {
 }
 
 // TestMorphologyMatchesOracle: the morphology kernels on arbitrary
-// (non-binary) images of awkward sizes.
+// (non-binary) images of awkward sizes. Widths 1–20 cover every row
+// tail the eight-byte folds leave, and radii up to 3 every shift.
 func TestMorphologyMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sizes := [][2]int{{1, 1}, {3, 3}, {1, 7}, {7, 1}, {2, 5}, {16, 12}, {33, 9}}
+	for w := 1; w <= 20; w++ {
+		sizes = append(sizes, [2]int{w, 2 + w%9})
+	}
 	for _, size := range sizes {
 		for trial := 0; trial < 20; trial++ {
 			im := vision.NewImage(size[0], size[1])
